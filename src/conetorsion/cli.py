@@ -21,6 +21,22 @@ from .spectrum import MalformedSpectrumFile, UnsupportedManifoldError
 DEFAULT_PRECISION_ENV = "CONETORSION_PRECISION"
 
 
+class UsageError(ValueError):
+    """A command-line value that cannot be used (malformed or out of range)."""
+
+
+def _fraction_in(option: str, text: str, low, high=None) -> Fraction:
+    """Parse `text` as a rational with low < value (< high when given)."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{option}: {text!r} is not a number") from exc
+    if not low < value or (high is not None and not value < high):
+        bounds = f"in ({low},{high})" if high is not None else f"> {low}"
+        raise UsageError(f"{option} must be {bounds}, got {value}")
+    return value
+
+
 def _default_precision() -> int:
     raw = os.environ.get(DEFAULT_PRECISION_ENV)
     if raw:
@@ -83,11 +99,8 @@ def _breakdown_table(report: dict) -> str:
 
 def cmd_torsion(args) -> int:
     M = _load_base(args)
-    eps_list = tuple(Fraction(e) for e in args.eps.split(",")) if args.eps else (
-        Fraction(1, 2), Fraction(1, 4))
-    for e in eps_list:
-        if not 0 < e < 1:
-            raise UnsupportedManifoldError(f"eps must lie in (0,1), got {e}")
+    eps_list = (tuple(_fraction_in("--eps", e, 0, 1) for e in args.eps.split(","))
+                if args.eps else (Fraction(1, 2), Fraction(1, 4)))
     report = torsion.torsion_report(M, args.precision, eps_list)
     if args.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
@@ -122,7 +135,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     M = _load_base(args)
-    text = spectrum.spectrum_text(M, Fraction(args.cutoff))
+    text = spectrum.spectrum_text(M, _fraction_in("--cutoff", args.cutoff, 0))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -173,7 +186,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (UnsupportedManifoldError, MalformedSpectrumFile, PrecisionError, OSError) as exc:
+    except (UnsupportedManifoldError, MalformedSpectrumFile, PrecisionError, UsageError,
+            OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

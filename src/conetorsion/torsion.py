@@ -12,6 +12,10 @@ boundary anomaly class of the cone collar; the truncated cone's torsion is
 twice the residual term and likewise equals rank * integral of the class.
 Both routes are computed and their agreement is recorded, never assumed.
 
+Both spectral summands read the same per-degree data of the base (zeta(0)
+and zeta'(0) of the coclosed Laplacian, the residual inner sum); a report
+computes it once, in `spectral_pass`, and every assembly step reads it.
+
 The epsilon-dependent intermediate quantities (per-degree zeta'(0) of the
 truncated problem, the harmonic-sector term) carry log(eps) pieces that
 cancel in the assembled difference; the cancellation is audited numerically.
@@ -35,6 +39,8 @@ class TorsionBreakdown:
 
     total = top + tors + res_anomaly; res_spectral is the independent
     residue-route value of the same term and headline_gap their distance.
+    Inside a report a piece the base lacks is None; cone_torsion raises
+    instead of returning such a breakdown.
     """
 
     top: object
@@ -56,6 +62,27 @@ class EpsilonReport:
     logeps_spectral: object  # coefficient of log(eps) from the zeta side
     logeps_harmonic: object  # coefficient of log(eps) from the harmonic side
     logeps_audit: object     # |spectral + harmonic| (must vanish)
+
+
+@dataclass(frozen=True)
+class SpectralPass:
+    """The base's per-degree spectral data for k = 0..(n-1)/2.
+
+    ccl[k] = (zeta(0, ccl_k), zeta'(0, ccl_k)) and inner[k] = the
+    (value, approximate) pair of residual_inner_sum; either is None when the
+    base has no exact continuation (ccl) or no residues (inner) for them.
+    """
+
+    ccl: tuple | None
+    inner: tuple | None
+
+    @property
+    def complete(self) -> bool:
+        return self.ccl is not None and self.inner is not None
+
+    @property
+    def approximate(self) -> bool:
+        return not self.complete or any(ap for _v, ap in self.inner)
 
 
 def _require_odd(M: BaseManifold):
@@ -94,20 +121,50 @@ def residual_inner_sum(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
     return acc, approx
 
 
-def residual_term(M: BaseManifold, P: int = DEFAULT_DPS):
+def spectral_pass(M: BaseManifold, P: int = DEFAULT_DPS) -> SpectralPass:
+    """Compute each degree's zeta_ccl_at_zero and residual_inner_sum once."""
+    _require_odd(M)
+    degrees = range((M.n - 1) // 2 + 1)
+    try:
+        ccl = tuple(zeta.zeta_ccl_at_zero(M, k, P) for k in degrees)
+    except ApproximateOnlyError:
+        ccl = None
+    try:
+        inner = tuple(residual_inner_sum(M, k, P) for k in degrees)
+    except ApproximateOnlyError:
+        inner = None
+    return SpectralPass(ccl, inner)
+
+
+def residual_term(M: BaseManifold, P: int = DEFAULT_DPS, inner=None):
     """The residual summand of the cone torsion (the quarter-weighted form).
 
     Returns (value, approximate_flag); the truncated-cone torsion is twice this.
+    `inner` holds the per-degree residual_inner_sum pairs when already computed.
     """
     _require_odd(M)
+    if inner is None:
+        inner = [residual_inner_sum(M, k, P) for k in range((M.n - 1) // 2 + 1)]
     ctx = context(P)
     acc = ctx.mpf(0)
     approx = False
-    for k in range((M.n - 1) // 2 + 1):
-        inner, ap = residual_inner_sum(M, k, P)
+    for k, (value, ap) in enumerate(inner):
         approx = approx or ap
-        acc += ctx.mpf((-1) ** k) / 4 * to_real(M.degree(k).delta, P, ctx) * inner
+        acc += ctx.mpf((-1) ** k) / 4 * to_real(M.degree(k).delta, P, ctx) * value
     return acc, approx
+
+
+def _check_eps(eps) -> Fraction:
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
+    return eps
+
+
+def _zk_prime(z0, z0p, inner, eps: Fraction, P: int):
+    """zeta_k'(0, eps) from the degree's zeta(0), zeta'(0) and residual inner sum."""
+    ctx = context(P)
+    return -z0p - 2 * ctx.log(to_real(eps, P, ctx)) * z0 + inner / 2
 
 
 def zeta_k_prime_zero(M: BaseManifold, k: int, eps, P: int = DEFAULT_DPS):
@@ -119,13 +176,10 @@ def zeta_k_prime_zero(M: BaseManifold, k: int, eps, P: int = DEFAULT_DPS):
     _require_odd(M)
     if not 0 <= k <= (M.n - 1) // 2:
         raise ValueError("k must lie in 0..(n-1)/2")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    ctx = context(P)
+    eps = _check_eps(eps)
     z0, z0p = zeta.zeta_ccl_at_zero(M, k, P)
     inner, _ = residual_inner_sum(M, k, P)
-    return -z0p - 2 * ctx.log(to_real(eps, P, ctx)) * z0 + inner / 2
+    return _zk_prime(z0, z0p, inner, eps, P)
 
 
 def harmonic_term(M: BaseManifold, eps, P: int = DEFAULT_DPS):
@@ -145,25 +199,30 @@ def harmonic_term(M: BaseManifold, eps, P: int = DEFAULT_DPS):
     return acc
 
 
-def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS) -> EpsilonReport:
+def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
+                       terms: SpectralPass | None = None) -> EpsilonReport:
     """log T(truncated cone) - log T(cone), assembled degree by degree.
 
     The value is epsilon-independent; the log(eps) coefficients of the two
     contributing sides are returned so the cancellation can be audited.
+    `terms` is the base's spectral pass when the caller has it already.
     """
     _require_odd(M)
-    eps = Fraction(eps)
+    eps = _check_eps(eps)
+    if terms is None:
+        terms = spectral_pass(M, P)
+    if not terms.complete:
+        raise ApproximateOnlyError(
+            f"{M.name}: the torsion difference needs exact zeta'(0, ccl_k) and residues")
     ctx = context(P)
     zk = []
     diff = ctx.mpf(0)
     logeps_spec = ctx.mpf(0)
-    for k in range((M.n - 1) // 2 + 1):
-        dd = M.degree(k)
-        zkp = zeta_k_prime_zero(M, k, eps, P)
+    for k, ((z0, z0p), (inner, _)) in enumerate(zip(terms.ccl, terms.inner)):
+        zkp = _zk_prime(z0, z0p, inner, eps, P)
         zk.append(zkp)
-        w = ctx.mpf((-1) ** k) / 2 * to_real(dd.delta, P, ctx)
+        w = ctx.mpf((-1) ** k) / 2 * to_real(M.degree(k).delta, P, ctx)
         diff += w * zkp
-        z0, _ = zeta.zeta_ccl_at_zero(M, k, P)
         logeps_spec += w * (-2) * z0
     halt = harmonic_term(M, eps, P)
     diff += halt
@@ -217,26 +276,37 @@ def truncated_cone_torsion(M: BaseManifold, P: int = DEFAULT_DPS):
     return spectral, anomaly, abs(spectral - anomaly), approx
 
 
+def _breakdown(M: BaseManifold, terms: SpectralPass, P: int) -> TorsionBreakdown:
+    """The breakdown from one spectral pass; a piece the base lacks is None."""
+    top = top_term(M, P)
+    tors = None
+    if terms.ccl is not None:
+        tors = -zeta.base_torsion(M, P, [z0p for _z0, z0p in terms.ccl]) / 2
+    res_spec = None if terms.inner is None else residual_term(M, P, terms.inner)[0]
+    try:
+        res_anom = anomaly_integral(M, P) / 2
+    except ApproximateOnlyError:
+        res_anom = None
+    return TorsionBreakdown(
+        top=top,
+        tors=tors,
+        res_spectral=res_spec,
+        res_anomaly=res_anom,
+        total=None if tors is None or res_anom is None else top + tors + res_anom,
+        headline_gap=None if res_spec is None or res_anom is None else abs(res_spec - res_anom),
+    )
+
+
 def cone_torsion(M: BaseManifold, P: int = DEFAULT_DPS) -> TorsionBreakdown:
     """Full breakdown of log T(cone) = top + tors + residual.
 
     The residual enters the total through the anomaly route; the spectral
     route is recorded alongside with the gap (the headline cross-check).
     """
-    _require_odd(M)
-    top = top_term(M, P)
-    tors = -zeta.base_torsion(M, P) / 2
-    res_spec, approx = residual_term(M, P)
-    res_anom = anomaly_integral(M, P) / 2
-    total = top + tors + res_anom
-    return TorsionBreakdown(
-        top=top,
-        tors=tors,
-        res_spectral=res_spec,
-        res_anomaly=res_anom,
-        total=total,
-        headline_gap=abs(res_spec - res_anom),
-    )
+    bd = _breakdown(M, spectral_pass(M, P), P)
+    if bd.total is None:
+        raise ApproximateOnlyError(f"{M.name}: the cone torsion needs an exact continuation")
+    return bd
 
 
 def product_metric_norm_shift(M: BaseManifold, harmonic_norm_log, P: int = DEFAULT_DPS):
@@ -254,49 +324,21 @@ def torsion_report(M: BaseManifold, P: int = DEFAULT_DPS, eps_list=(Fraction(1, 
     ctx = context(P)
 
     def fmt(x):
-        return ctx.nstr(ctx.mpf(x), P, strip_zeros=False)
+        return None if x is None else ctx.nstr(ctx.mpf(x), P, strip_zeros=False)
 
     out = {"base": M.name, "n": M.n, "rank": M.rank, "precision": P}
-    approx = False
-    headline_gap = None
-    try:
-        bd = cone_torsion(M, P)
-        out["breakdown"] = {
-            "top": fmt(bd.top),
-            "tors": fmt(bd.tors),
-            "res_spectral": fmt(bd.res_spectral),
-            "res_anomaly": fmt(bd.res_anomaly),
-            "total": fmt(bd.total),
-        }
-        headline_gap = bd.headline_gap
-    except ApproximateOnlyError:
-        approx = True
-        try:
-            spectral, spectral_approx = residual_term(M, P)
-            approx = approx or spectral_approx
-        except ApproximateOnlyError:
-            spectral = None
-        try:
-            anomaly = anomaly_integral(M, P) / 2
-        except ApproximateOnlyError:
-            anomaly = None
-        if spectral is not None and anomaly is not None:
-            headline_gap = abs(spectral - anomaly)
-        out["breakdown"] = {
-            "top": fmt(top_term(M, P)),
-            "tors": None,
-            "res_spectral": fmt(spectral) if spectral is not None else None,
-            "res_anomaly": fmt(anomaly) if anomaly is not None else None,
-            "total": None,
-        }
-    audits = {"headline_gap": fmt(headline_gap) if headline_gap is not None else None}
-    try:
-        reports = [torsion_difference(M, e, P) for e in eps_list]
+    terms = spectral_pass(M, P)
+    bd = _breakdown(M, terms, P)
+    out["breakdown"] = {key: fmt(getattr(bd, key))
+                        for key in ("top", "tors", "res_spectral", "res_anomaly", "total")}
+    audits = {"headline_gap": fmt(bd.headline_gap)}
+    if not terms.complete:
+        audits["eps_cancel"] = None
+    else:
+        reports = [torsion_difference(M, e, P, terms) for e in eps_list]
         audits["eps_cancel"] = fmt(max(
             abs(reports[i].difference - reports[0].difference) for i in range(len(reports))))
         audits["logeps_audit"] = fmt(max(ctx.mpf(r.logeps_audit) for r in reports))
-    except ApproximateOnlyError:
-        audits["eps_cancel"] = None
     out["audits"] = audits
-    out["approximate"] = approx
+    out["approximate"] = terms.approximate
     return out

@@ -101,25 +101,6 @@ class ZetaRepresentation:
             acc += to_real(c, P, ctx) * ctx.zeta(arg, a)
         return acc.real if acc.imag == 0 else acc
 
-    def value_ds(self, s, P: int = DEFAULT_DPS):
-        """Derivative in s."""
-        ctx = context(P)
-        if isinstance(s, (int, Fraction)):
-            s_f = Fraction(s)
-            if s_f - 1 in self.weights:
-                raise PoleError(s_f, self.residue_at(s_f))
-            s_m = to_real(s_f, P, ctx)
-        else:
-            s_m = ctx.mpc(s)
-        a = to_real(self.shift, P, ctx)
-        acc = ctx.mpc(0)
-        for p, c in sorted(self.weights.items()):
-            arg = s_m - p
-            if arg == 1:
-                raise PoleError(Fraction(p + 1), self.residue_at(Fraction(p + 1)))
-            acc += to_real(c, P, ctx) * ctx.zeta(arg, a, 1)
-        return acc.real if acc.imag == 0 else acc
-
     def finite_part_at(self, s0, P: int = DEFAULT_DPS):
         """Constant term of the Laurent expansion at a (potential) pole s0."""
         ctx = context(P)
@@ -260,59 +241,62 @@ def _estimated_leading_residue(M: BaseManifold, k: int, P: int):
 # The coclosed Laplacian at s = 0 and the base torsion (exact, spheres)
 
 
-def _ccl_tail_terms(M: BaseManifold, k: int, P: int):
-    """Terms (A^(2i)/i) zeta_{k,N}(2i), i >= 1, truncated below 10^-(P+5)."""
-    ctx = context(P)
-    A = DegreeData(k, M.n).A
-    if A == 0:
-        return []
-    rep = shifted_zeta_representation(M, k)
-    A_m = to_real(A, P, ctx)
-    tol = ctx.mpf(10) ** (-(P + 5))
-    # geometric decay with ratio (A/x0)^2 <= ((n-1)/(n+1))^2; generous cap
-    ratio = float(A / rep.shift) ** 2
-    cap = 60 + int((P + 25) / max(0.05, -math.log10(ratio)))
-    out = []
-    i = 1
-    while True:
-        term = A_m ** (2 * i) / i * rep.value(2 * i, P)
-        out.append(term)
-        # geometric from the first frequency on; safe stop once well below tol
-        if abs(term) < tol and i > 2:
-            break
-        if i > cap:
-            raise RuntimeError("binomial tail failed to reach tolerance")
-        i += 1
-    return out
-
-
 def zeta_ccl_at_zero(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
     """(zeta(0), zeta'(0)) of the coclosed form Laplacian in degree k (spheres).
 
-    zeta(0) equals the shifted zeta at 0 (the binomial expansion collapses
-    there); the derivative picks up the tail sum_{i>=1} (A^(2i)/i) zeta_{k,N}(2i).
+    The coclosed eigenvalues factor as eta = (nu - A)(nu + A), A = A_k, and
+    zeta'(0) is the sum of the derivatives of the two linear spectra,
+
+        zeta'(0, ccl_k) = sum_{+-} sum_q c^{+-}_q zeta_H'(-q, (n+1)/2 -+ A),
+
+    with c^{+-} the multiplicity polynomial rewritten in w = nu -+ A.  The
+    Hurwitz shifts are 1 + k and n - k, both positive for k < n.
+
+    No multiplicative-anomaly term is needed.  With zeta_N = zeta_{k,N}, the
+    binomial expansion of (1 -+ A/nu)^(-s) gives
+
+        sum_{+-} zeta_{nu -+ A}(s) = sum_{+-} sum_j C(-s, j) (-+A)^j zeta_N(s + j)
+                                   = 2 sum_{i>=0} C(-s, 2i) A^(2i) zeta_N(s + 2i):
+
+    the odd powers of A cancel, and the series converges because |A| is
+    below the first frequency (n+1)/2.  zeta_N is regular at every positive
+    even integer (its poles sit at odd 2r+1), and d/ds C(-s, j) at s = 0 is
+    (-1)^j / j, so the derivative at 0 is
+
+        2 zeta_N'(0) + sum_{i>=1} (A^(2i)/i) zeta_N(2i),
+
+    which is also the derivative at 0 of zeta(s, ccl_k) =
+    sum_i C(-s, i) (-A^2)^i zeta_N(2s + 2i).  At s = 0 itself every i >= 1
+    term vanishes, so zeta(0, ccl_k) = zeta_N(0).
     """
     rep = shifted_zeta_representation(M, k)
     z0 = rep.value(0, P)
-    z0p = 2 * rep.value_ds(0, P)
-    for term in _ccl_tail_terms(M, k, P):
-        z0p += term
+    ctx = context(P)
+    z0p = ctx.mpf(0)
+    A = DegreeData(k, M.n).A
+    for shift in (A, -A):
+        a = to_real(rep.shift - shift, P, ctx)
+        for q, c in sorted(_shift_polynomial_variable(rep.weights, shift).coeffs.items()):
+            if c:
+                z0p += to_real(c, P, ctx) * ctx.zeta(-q, a, 1)
     return z0, z0p
 
 
-def base_torsion(M: BaseManifold, P: int = DEFAULT_DPS):
+def base_torsion(M: BaseManifold, P: int = DEFAULT_DPS, zeta_primes=None):
     """log of the scalar analytic torsion of the closed base (N, g^N).
 
     Assembled from coclosed data: - sum_{k <= (n-1)/2} (-1)^k delta_k zeta'(0, ccl_k).
+    `zeta_primes` holds those zeta'(0, ccl_k), k = 0..(n-1)/2, when the
+    caller has them already.
     """
     if M.kind != "sphere":
         raise ApproximateOnlyError(f"base torsion requires an exact continuation; {M.name} has none")
+    if zeta_primes is None:
+        zeta_primes = [zeta_ccl_at_zero(M, k, P)[1] for k in range((M.n - 1) // 2 + 1)]
     ctx = context(P)
     acc = ctx.mpf(0)
-    for k in range((M.n - 1) // 2 + 1):
-        dd = M.degree(k)
-        _z0, z0p = zeta_ccl_at_zero(M, k, P)
-        acc += (-1) ** k * to_real(dd.delta, P, ctx) * z0p
+    for k, z0p in enumerate(zeta_primes):
+        acc += (-1) ** k * to_real(M.degree(k).delta, P, ctx) * z0p
     return -acc
 
 
@@ -361,7 +345,7 @@ class CoclosedZetaB:
         # multiplicity polynomial in w = j + k (exact)
         poly_x = sphere_multiplicity_polynomial(M, k)  # in x = j + (n-1)/2
         # convert: x = w + A  (since x = j + (n-1)/2 = (j+k) + A)
-        self.poly_w = _shift_polynomial_variable(poly_x, self.A)
+        self.poly_w = _shift_polynomial_variable(poly_x.coeffs, self.A)
 
     def explicit_lines(self):
         from .spectrum import sphere_multiplicity
@@ -431,11 +415,11 @@ class CoclosedZetaB:
         return acc
 
 
-def _shift_polynomial_variable(poly, shift: Fraction):
-    """Rewrite sum a_p x^p with x = w + shift as a polynomial in w (exact)."""
+def _shift_polynomial_variable(coeffs: dict, shift: Fraction):
+    """Rewrite sum a_p x^p (coeffs = {p: a_p}) with x = w + shift as a polynomial in w (exact)."""
     from .olver import RationalPolynomial
     out = {}
-    for p, c in poly.coeffs.items():
+    for p, c in coeffs.items():
         for q in range(p + 1):
             out[q] = out.get(q, Fraction(0)) + c * math.comb(p, q) * shift ** (p - q)
     return RationalPolynomial(out)

@@ -102,3 +102,16 @@ def test_env_precision_default(monkeypatch):
     ap = cli.build_parser()
     args = ap.parse_args(["torsion", "--base", "sphere:1"])
     assert args.precision == 33
+
+
+@pytest.mark.parametrize("argv", [
+    ("torsion", "--base", "sphere:1", "--eps", "1/2,abc"),
+    ("torsion", "--base", "sphere:1", "--eps", "1/2,1/0"),
+    ("spectrum", "--base", "sphere:1", "--cutoff", "abc"),
+    ("spectrum", "--base", "sphere:1", "--cutoff", "0"),
+])
+def test_malformed_numbers_are_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

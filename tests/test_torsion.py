@@ -175,6 +175,24 @@ def test_report_structure_and_determinism():
     assert r1["approximate"] is False
 
 
+def test_report_computes_each_degree_once(monkeypatch):
+    # one spectral pass: each of the four degrees of S^7 is evaluated once
+    calls = {"zeta_ccl_at_zero": 0, "residual_inner_sum": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(zeta, "zeta_ccl_at_zero",
+                        counting("zeta_ccl_at_zero", zeta.zeta_ccl_at_zero))
+    monkeypatch.setattr(torsion, "residual_inner_sum",
+                        counting("residual_inner_sum", torsion.residual_inner_sum))
+    torsion_report(sphere(7), 50)
+    assert calls == {"zeta_ccl_at_zero": 4, "residual_inner_sum": 4}
+
+
 def test_report_torus_mode():
     r = torsion_report(torus(3), 40)
     assert r["approximate"] is True

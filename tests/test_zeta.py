@@ -7,7 +7,7 @@ import pytest
 
 from conetorsion import zeta
 from conetorsion.precision import context
-from conetorsion.spectrum import sphere, torus, write_spectrum_file, read_spectrum_file
+from conetorsion.spectrum import DegreeData, sphere, torus, write_spectrum_file, read_spectrum_file
 from conetorsion.zeta import (
     ApproximateOnlyError,
     CoclosedZetaB,
@@ -132,6 +132,41 @@ def test_circle_ccl_at_zero():
     z0, z0p = zeta_ccl_at_zero(S1, 0, 40)
     assert z0 == -1
     assert abs(z0p + 2 * ctx.log(2 * ctx.pi)) < ctx.mpf("1e-45")
+
+
+def _series_ccl_prime(M, k, P):
+    """zeta'(0, ccl_k) = 2 zeta_N'(0) + sum_{i>=1} (A^(2i)/i) zeta_N(2i), summed term by term.
+
+    The binomial series that the Hurwitz closed form replaced, kept as a
+    reference: it reaches the same value through zeta_N at positive even
+    integers instead of zeta_H' at the shifts 1 + k and n - k.
+    """
+    ctx = context(P)
+    rep = shifted_zeta_representation(M, k)
+    x0 = ctx.mpf(rep.shift.numerator) / rep.shift.denominator
+    acc = ctx.mpf(0)
+    for p, c in rep.weights.items():
+        acc += 2 * ctx.mpf(c.numerator) / c.denominator * ctx.zeta(-p, x0, 1)
+    A = DegreeData(k, M.n).A
+    if A == 0 or not rep.weights:
+        return acc
+    A2 = ctx.mpf(A.numerator) ** 2 / A.denominator ** 2
+    tol = ctx.mpf(10) ** (-(P + 5))
+    for i in range(1, 2000):
+        term = A2 ** i / i * rep.value(2 * i, P)
+        acc += term
+        if abs(term) < tol and i > 2:
+            return acc
+    pytest.fail(f"binomial series for {M.name}, k = {k} did not reach 1e-{P + 5}")
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_ccl_closed_form_matches_series(n):
+    M = sphere(n)
+    P = 60
+    for k in range(n + 1):
+        _z0, z0p = zeta_ccl_at_zero(M, k, P)
+        assert abs(z0p - _series_ccl_prime(M, k, P)) < mp.mpf(10) ** -55, (n, k)
 
 
 def test_ccl_precision_doubling():
