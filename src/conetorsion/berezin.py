@@ -36,93 +36,31 @@ mechanism, and the final class coefficient is rational times pi^(-(n+1)/2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .precision import DEFAULT_DPS, DomainError, context, to_real
+from .olver import Polynomial
+from .precision import DEFAULT_DPS, DomainError, context
 
 
-class Scalar:
-    """Exact number sum_{(p,h)} c_{p,h} * pi^(p/2) * s^(h/2), c rational.
+def fold_scale(x: Polynomial, scale) -> Polynomial:
+    """Substitute the numeric metric scale s into sum c_{p,h} pi^(p/2) s^(h/2).
 
-    p and h are integers (half-power exponents of pi and of the metric
-    scale); s stays symbolic until folded at the end of a computation.
+    Every scale half power h must be even; the result is a polynomial in the
+    pi half power alone.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[(int(k[0]), int(k[1]))] = c
-
-    @classmethod
-    def rational(cls, c) -> "Scalar":
-        return cls({(0, 0): Fraction(c)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Scalar(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        out = {}
-        for (p1, h1), c1 in self.terms.items():
-            for (p2, h2), c2 in other.terms.items():
-                k = (p1 + p2, h1 + h2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return Scalar(out)
-
-    def shift(self, pi_half: int = 0, scale_half: int = 0) -> "Scalar":
-        return Scalar({(p + pi_half, h + scale_half): c for (p, h), c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def fold_scale(self, scale: Fraction) -> "Scalar":
-        """Substitute the numeric metric scale; all half powers must be even."""
-        out = {}
-        for (p, h), c in self.terms.items():
-            if h % 2 != 0:
-                raise ArithmeticError(f"unbalanced scale half-power {h} survived")
-            cc = c * Fraction(scale) ** (h // 2)
-            out[(p, 0)] = out.get((p, 0), Fraction(0)) + cc
-        return Scalar(out)
-
-    def value(self, P: int = DEFAULT_DPS):
-        ctx = context(P)
-        acc = ctx.mpf(0)
-        for (p, h), c in sorted(self.terms.items()):
-            if h != 0:
-                raise ArithmeticError("scale must be folded before numeric evaluation")
-            acc += to_real(c, P, ctx) * ctx.pi ** (ctx.mpf(p) / 2)
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, Scalar) and self.terms == other.terms
-
-    def __neg__(self):
-        return Scalar({k: -c for k, c in self.terms.items()})
-
-    def __repr__(self):
-        parts = [f"({c})*pi^({p}/2)*s^({h}/2)" for (p, h), c in sorted(self.terms.items())]
-        return "Scalar(" + (" + ".join(parts) or "0") + ")"
+    for _p, h in x.coeffs:
+        if h % 2 != 0:
+            raise ArithmeticError(f"unbalanced scale half-power {h} survived")
+    return Polynomial({(p, h // 2): c for (p, h), c in x.coeffs.items()}, 2).substitute(1, scale)
 
 
 class GradedElement:
-    """Element of Lambda(T*N) (x)hat Lambda(T*N)(hat) with Scalar coefficients.
+    """Element of Lambda(T*N) (x)hat Lambda(T*N)(hat) with exact scalar coefficients.
+
+    A coefficient is a Polynomial sum c_{p,h} pi^(p/2) s^(h/2) in the half
+    powers (p, h) of pi and of the metric scale s.
 
     Basis monomials are pairs of strictly increasing index tuples (unhatted,
     hatted); all generators are odd, and the product sign follows from
@@ -136,9 +74,7 @@ class GradedElement:
         self.terms = {}
         if terms:
             for k, c in terms.items():
-                if isinstance(c, (int, Fraction)):
-                    c = Scalar.rational(c)
-                if not c.is_zero():
+                if c.coeffs:
                     self.terms[(tuple(k[0]), tuple(k[1]))] = c
 
     @classmethod
@@ -147,23 +83,21 @@ class GradedElement:
 
     @classmethod
     def one(cls) -> "GradedElement":
-        return cls({((), ()): Scalar.rational(1)})
+        return cls({((), ()): Polynomial({(0, 0): 1})})
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k)
             s = c if s is None else s + c
-            if s.is_zero():
+            if not s.coeffs:
                 out.pop(k, None)
             else:
                 out[k] = s
         return GradedElement(out)
 
     def scale(self, c) -> "GradedElement":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar.rational(c)
-        return GradedElement({k: v * c for k, v in self.terms.items()})
+        return GradedElement({k: v.scale(c) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         out = {}
@@ -181,10 +115,10 @@ class GradedElement:
                 s_u, uu = mu
                 s_h, hh = mh
                 key = (uu, hh)
-                coef = (c1 * c2) * Fraction(sign * s_u * s_h)
+                coef = (c1 * c2).scale(sign * s_u * s_h)
                 prev = out.get(key)
                 coef = coef if prev is None else prev + coef
-                if coef.is_zero():
+                if not coef.coeffs:
                     out.pop(key, None)
                 else:
                     out[key] = coef
@@ -199,8 +133,8 @@ class GradedElement:
     def bidegrees(self):
         return {(len(u), len(h)) for (u, h) in self.terms}
 
-    def coefficient(self, unhatted, hatted) -> Scalar:
-        return self.terms.get((tuple(unhatted), tuple(hatted)), Scalar())
+    def coefficient(self, unhatted, hatted) -> Polynomial:
+        return self.terms.get((tuple(unhatted), tuple(hatted)), Polynomial({}, 2))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -270,7 +204,7 @@ def scaled(cm: CollarMetric, s) -> CollarMetric:
 
 def s_dot(cm: CollarMetric) -> GradedElement:
     """(f'(0)/4) sum_k e*_k ^ hatted e*_k, rescaled by sqrt(scale)."""
-    coef = Scalar({(0, 1): Fraction(cm.fprime0, 4)})
+    coef = Polynomial({(0, 1): Fraction(cm.fprime0, 4)})
     out = {}
     for k in range(1, cm.n + 1):
         out[((k,), (k,))] = coef
@@ -285,7 +219,7 @@ def r_dot(cm: CollarMetric) -> GradedElement:
     """
     if cm.n == 1:
         return GradedElement.zero()
-    coef = Scalar({(0, 2): Fraction(cm.kappa)})
+    coef = Polynomial({(0, 2): Fraction(cm.kappa)})
     out = {}
     for a in range(1, cm.n + 1):
         for b in range(a + 1, cm.n + 1):
@@ -307,7 +241,7 @@ def berezin(elt: GradedElement, n: int) -> GradedElement:
     module docstring.
     """
     top = tuple(range(1, n + 1))
-    norm = Scalar({(-n, -n): berezin_constant(n)})
+    norm = Polynomial({(-n, -n): berezin_constant(n)})
     out = {}
     for (u, h), c in elt.terms.items():
         if h != top:
@@ -319,17 +253,29 @@ def berezin(elt: GradedElement, n: int) -> GradedElement:
 
 @dataclass(frozen=True)
 class AnomalyClass:
-    """The boundary class as (exact Scalar coefficient of the volume form, n)."""
+    """The boundary class as (exact coefficient of the volume form, n).
+
+    The coefficient is a Polynomial sum c_p pi^(p/2) in the pi half power,
+    with the metric scale folded in.
+    """
 
     n: int
-    coefficient: Scalar
+    coefficient: Polynomial
 
     def value(self, P: int = DEFAULT_DPS):
-        return self.coefficient.value(P)
+        return _pi_value(self.coefficient, P)
 
-    def integral(self, volume: Scalar, P: int = DEFAULT_DPS):
-        """integral over N: class coefficient times an exact volume Scalar."""
-        return (self.coefficient * volume).value(P)
+    def integral(self, volume: Polynomial, P: int = DEFAULT_DPS):
+        """integral over N: class coefficient times an exact volume sum c_p pi^(p/2)."""
+        return _pi_value(self.coefficient * volume, P)
+
+
+def _pi_value(x: Polynomial, P: int):
+    """Numeric value of sum c_p pi^(p/2)."""
+    if x.nvars != 1:
+        raise ArithmeticError("scale must be folded before numeric evaluation")
+    ctx = context(P)
+    return x.evaluate(lambda p: ctx.pi ** (ctx.mpf(p) / 2), P, ctx)
 
 
 def b_class(cm: CollarMetric) -> AnomalyClass:
@@ -346,7 +292,7 @@ def b_class(cm: CollarMetric) -> AnomalyClass:
     S = s_dot(cm)
     R = r_dot(cm)
     top_u = tuple(range(1, n + 1))
-    acc = Scalar()
+    acc = Polynomial({}, 2)
     for j_r in range(0, n // 2 + 1):
         for j in range(0, n // 2 + 1):
             k = n - 2 * j_r - 2 * j
@@ -355,33 +301,20 @@ def b_class(cm: CollarMetric) -> AnomalyClass:
             weight = (Fraction(-1, 2) ** j_r / math.factorial(j_r)
                       * Fraction(-1) ** j / math.factorial(j)
                       * Fraction(1, k + 2 * j))
-            gamma_h = _half_gamma(k)     # Gamma(k/2+1) as Scalar
             elt = R.power(j_r) * S.power(k + 2 * j)
-            pushed = berezin(elt, n)
-            c = pushed.coefficient(top_u, ())
-            if c.is_zero():
-                continue
+            c = berezin(elt, n).coefficient(top_u, ())
             # the global minus of the class and the 1/(2 Gamma) weight
-            acc = acc + c * Scalar.rational(-weight) * _inverse(gamma_h) * Scalar.rational(Fraction(1, 2))
-    acc = acc.fold_scale(cm.scale)
-    return AnomalyClass(n, acc)
+            acc = acc + (c * _inverse_half_gamma(k)).scale(-weight / 2)
+    return AnomalyClass(n, fold_scale(acc, cm.scale))
 
 
-def _half_gamma(k: int) -> Scalar:
-    """Gamma(k/2 + 1) exactly: rational for even k, rational * sqrt(pi) for odd k."""
+def _inverse_half_gamma(k: int) -> Polynomial:
+    """1/Gamma(k/2 + 1) exactly: rational for even k, rational / sqrt(pi) for odd k."""
     if k % 2 == 0:
-        return Scalar.rational(math.factorial(k // 2))
+        return Polynomial({(0, 0): Fraction(1, math.factorial(k // 2))})
     m = (k + 1) // 2
     # Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
-    frac = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
-    return Scalar({(1, 0): frac})
-
-
-def _inverse(s: Scalar) -> Scalar:
-    if len(s.terms) != 1:
-        raise ArithmeticError("only monomial Scalars are invertible here")
-    ((p, h), c), = s.terms.items()
-    return Scalar({(-p, -h): 1 / c})
+    return Polynomial({(-1, 0): Fraction(4 ** m * math.factorial(m), math.factorial(2 * m))})
 
 
 def cone_collars(n: int, kappa, eps) -> tuple:
@@ -407,21 +340,10 @@ def anomaly_sides(n: int, kappa, eps) -> tuple:
     outer, inner = cone_collars(n, kappa, eps)
     b_out = b_class(outer)
     b_in = b_class(inner)
-    if b_out.coefficient != -b_in.coefficient:
+    if b_out.coefficient != b_in.coefficient.scale(-1):
         raise AssertionError("anomaly antisymmetry failed; convention bug")
     direct_in = b_class(CollarMetric(n, Fraction(kappa), Fraction(2)))
     if b_in.coefficient != direct_in.coefficient:
         raise AssertionError("eps-scale failed to drop out of the inner collar")
     return b_out, b_in
 
-
-def class_terms_json(cm: CollarMetric) -> str:
-    """JSON dump of the expanded class data (documentation aid)."""
-    cls = b_class(cm)
-    terms = {f"pi^({p}/2)": str(c) for (p, h), c in sorted(cls.coefficient.terms.items())}
-    return json.dumps({
-        "n": cm.n,
-        "kappa": str(cm.kappa),
-        "fprime0": str(cm.fprime0),
-        "volume_form_coefficient": terms,
-    }, indent=2, sort_keys=True)

@@ -117,12 +117,14 @@ def cmd_torsion(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    if args.rmax < 1:
+        raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
     lines = []
     all_passed = True
     for name in names:
         fn = verify.SUITES[name]
         kwargs = {}
-        if name == "dm" and args.rmax:
+        if name == "dm":
             kwargs["rmax"] = args.rmax
         if name == "detratio":
             kwargs["grid"] = args.grid

@@ -8,7 +8,9 @@ mixing the u- and v-series), whose coefficient arrays x_{r,b} and z_{r,b}(A)
 on the exponent ladder t^{r+2b} feed the residue combinations downstream.
 
 Everything in this module is exact rational arithmetic; floating point only
-appears when a finished polynomial is evaluated at a numeric point.
+appears when a finished polynomial is evaluated at a numeric point.  The
+polynomials are instances of `Polynomial`, the package's one sparse exact
+ring, which `spectrum`, `zeta` and `berezin` use as well.
 
 Generation rules:
 
@@ -28,9 +30,9 @@ sum_b [2 x_{2r+1,b} - z_{2r+1,b}(-A) - z_{2r+1,b}(A)] for every odd index.
 
 from __future__ import annotations
 
-import json
 import threading
 from fractions import Fraction
+from operator import add
 
 from .precision import DEFAULT_DPS, DomainError, context, to_complex, to_real
 
@@ -39,177 +41,123 @@ class StructureError(RuntimeError):
     """A generated polynomial violates its exponent-support invariant."""
 
 
-class RationalPolynomial:
-    """Sparse polynomial in one variable with exact Fraction coefficients."""
+class Polynomial:
+    """Sparse exact polynomial: a dict from exponent tuple to nonzero Fraction.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[int(e)] = c
-
-    @classmethod
-    def constant(cls, c) -> "RationalPolynomial":
-        return cls({0: Fraction(c)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return RationalPolynomial(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return RationalPolynomial(out)
-
-    def scale(self, c) -> "RationalPolynomial":
-        c = Fraction(c)
-        return RationalPolynomial({e: cc * c for e, cc in self.coeffs.items()})
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial({e - 1: c * e for e, c in self.coeffs.items() if e != 0})
-
-    def integral_from_zero(self) -> "RationalPolynomial":
-        return RationalPolynomial({e + 1: c / (e + 1) for e, c in self.coeffs.items()})
-
-    def coefficient(self, e: int) -> Fraction:
-        return self.coeffs.get(e, Fraction(0))
-
-    def support(self):
-        return set(self.coeffs)
-
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def __call__(self, t):
-        """Evaluate; exact if t is Fraction/int, numeric otherwise."""
-        if isinstance(t, (int, Fraction)):
-            acc = Fraction(0)
-            for e, c in self.coeffs.items():
-                acc += c * Fraction(t) ** e
-            return acc
-        acc = 0
-        for e in sorted(self.coeffs):
-            acc += self.coeffs[e] * t ** e
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, RationalPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == RationalPolynomial.constant(other).coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "RationalPolynomial(0)"
-        parts = [f"({c})*t^{e}" for e, c in sorted(self.coeffs.items())]
-        return "RationalPolynomial(" + " + ".join(parts) + ")"
-
-
-class ShiftPolynomial:
-    """Polynomial in t whose coefficients are exact polynomials in the shift A.
-
-    Stored as {(t_exponent, A_exponent): Fraction}.
+    The same ring serves the t- and (t, A)-polynomials here, the multiplicity
+    polynomials of `spectrum` and the pi/scale half-power numbers of
+    `berezin` (whose exponents may be negative).  Every key of a polynomial
+    has length `nvars`, fixed at construction, and combining polynomials in
+    different numbers of variables raises, so no variable is ever dropped.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nvars", "coeffs")
 
-    def __init__(self, coeffs=None):
+    def __init__(self, coeffs, nvars=None):
+        if nvars is None:
+            if not coeffs:
+                raise ValueError("the zero polynomial needs an explicit nvars")
+            nvars = len(next(iter(coeffs)))
+        self.nvars = nvars
         self.coeffs = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[(int(k[0]), int(k[1]))] = c
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ShiftPolynomial(out)
-
-    def __mul__(self, other):
-        out = {}
-        for (e1, a1), c1 in self.coeffs.items():
-            for (e2, a2), c2 in other.coeffs.items():
-                k = (e1 + e2, a1 + a2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return ShiftPolynomial(out)
-
-    def scale(self, c) -> "ShiftPolynomial":
-        c = Fraction(c)
-        return ShiftPolynomial({k: cc * c for k, cc in self.coeffs.items()})
+        for k, c in coeffs.items():
+            k = tuple(k)
+            if len(k) != nvars:
+                raise ValueError(f"exponent tuple {k} does not have {nvars} entries")
+            if c:
+                self.coeffs[k] = Fraction(c)
 
     @classmethod
-    def from_t_polynomial(cls, p: RationalPolynomial) -> "ShiftPolynomial":
-        return cls({(e, 0): c for e, c in p.coeffs.items()})
+    def _of(cls, nvars, coeffs):
+        """Wrap an already normalised dict (tuple keys, nonzero Fractions)."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.coeffs = coeffs
+        return out
 
-    def at_shift(self, A) -> RationalPolynomial:
-        """Evaluate the A-variable at an exact rational, leaving a t-polynomial."""
-        A = Fraction(A)
+    def _common_nvars(self, other) -> int:
+        if self.nvars != other.nvars:
+            raise ValueError(
+                f"cannot combine polynomials in {self.nvars} and {other.nvars} variables")
+        return self.nvars
+
+    def __add__(self, other):
+        nvars = self._common_nvars(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return Polynomial._of(nvars, out)
+
+    def __mul__(self, other):
+        nvars = self._common_nvars(other)
         out = {}
-        for (e, a), c in self.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c * A ** a
-        return RationalPolynomial(out)
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                k = tuple(map(add, k1, k2))
+                out[k] = out.get(k, 0) + c1 * c2
+        return Polynomial._of(nvars, {k: c for k, c in out.items() if c})
 
-    def t_support(self):
-        return {e for (e, _a) in self.coeffs}
-
-    def shift_coefficient(self, t_exp: int) -> dict:
-        """Map A-exponent -> Fraction for the coefficient of t**t_exp."""
-        return {a: c for (e, a), c in self.coeffs.items() if e == t_exp}
-
-    def __call__(self, t, A):
-        if isinstance(t, (int, Fraction)) and isinstance(A, (int, Fraction)):
-            return self.at_shift(A)(Fraction(t))
-        acc = 0
-        for (e, a), c in self.coeffs.items():
-            acc += c * t ** e * A ** a
-        return acc
+    def scale(self, c) -> "Polynomial":
+        c = Fraction(c)
+        return Polynomial._of(self.nvars, {k: v * c for k, v in self.coeffs.items()} if c else {})
 
     def __eq__(self, other):
-        return isinstance(other, ShiftPolynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.nvars == other.nvars
+                and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        parts = [f"({c})*t^{e}*A^{a}" for (e, a), c in sorted(self.coeffs.items())]
-        return "ShiftPolynomial(" + (" + ".join(parts) or "0") + ")"
+        return f"Polynomial({self.coeffs!r}, {self.nvars})"
+
+    def derivative(self) -> "Polynomial":
+        """Derivative in the first variable."""
+        return Polynomial._of(self.nvars, {(k[0] - 1,) + k[1:]: c * k[0]
+                                           for k, c in self.coeffs.items() if k[0]})
+
+    def integral_from_zero(self) -> "Polynomial":
+        """Antiderivative in the first variable, vanishing where that variable is 0."""
+        return Polynomial._of(self.nvars, {(k[0] + 1,) + k[1:]: c / (k[0] + 1)
+                                           for k, c in self.coeffs.items()})
+
+    def substitute(self, i: int, value):
+        """Set variable i to the exact rational `value`.
+
+        The result is a polynomial in the remaining variables, in their
+        order; substituting the only variable gives the exact value itself.
+        """
+        value = Fraction(value)
+        out = {}
+        for k, c in self.coeffs.items():
+            rest = k[:i] + k[i + 1:]
+            out[rest] = out.get(rest, 0) + c * value ** k[i]
+        if self.nvars == 1:
+            return out.get((), Fraction(0))
+        return Polynomial._of(self.nvars - 1, {k: c for k, c in out.items() if c})
+
+    def evaluate(self, monomial, P: int, ctx):
+        """Numeric value: sum of to_real(c) * monomial(*exponents), in sorted key order."""
+        acc = ctx.mpf(0)
+        for k, c in sorted(self.coeffs.items()):
+            acc += to_real(c, P, ctx) * monomial(*k)
+        return acc
 
 
-_ONE = RationalPolynomial.constant(1)
+_ONE = Polynomial({(0,): 1})
 
 # Generated families, memoised behind a lock so concurrent first use is safe.
 _cache_lock = threading.Lock()
-_u: list[RationalPolynomial] = [_ONE]
-_v: list[RationalPolynomial] = [_ONE]
-_d: dict[int, RationalPolynomial] = {}
-_m: dict[int, ShiftPolynomial] = {}
+_u: list[Polynomial] = [_ONE]
+_v: list[Polynomial] = [_ONE]
+_d: dict[int, Polynomial] = {}
+_m: dict[int, Polynomial] = {}
 
-_W_U = RationalPolynomial({2: 1, 4: -1})        # t^2 (1 - t^2)
-_G_U = RationalPolynomial({0: 1, 2: -5})        # 1 - 5 s^2
-_W_V = RationalPolynomial({3: 1, 1: -1})        # t (t^2 - 1)
+_T = Polynomial({(1,): 1})                      # t
+_W_U = Polynomial({(2,): 1, (4,): -1})          # t^2 (1 - t^2)
+_G_U = Polynomial({(0,): 1, (2,): -5})          # 1 - 5 s^2
+_W_V = Polynomial({(3,): 1, (1,): -1})          # t (t^2 - 1)
 
 
 def _extend_uv(r: int) -> None:
@@ -218,11 +166,11 @@ def _extend_uv(r: int) -> None:
         nxt = _W_U * u.derivative()
         nxt = nxt.scale(Fraction(1, 2)) + (_G_U * u).integral_from_zero().scale(Fraction(1, 8))
         _u.append(nxt)
-        transfer = u.scale(Fraction(1, 2)) + RationalPolynomial({1: 1}) * u.derivative()
+        transfer = u.scale(Fraction(1, 2)) + _T * u.derivative()
         _v.append(nxt + _W_V * transfer)
 
 
-def u_poly(r: int) -> RationalPolynomial:
+def u_poly(r: int) -> Polynomial:
     """Coefficient polynomial u_r(t) of the large-order expansion of I/K."""
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -231,7 +179,7 @@ def u_poly(r: int) -> RationalPolynomial:
         return _u[r]
 
 
-def v_poly(r: int) -> RationalPolynomial:
+def v_poly(r: int) -> Polynomial:
     """Coefficient polynomial v_r(t) of the large-order expansion of I'/K'."""
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -244,7 +192,6 @@ def _series_log_t(coeff_at, rmax: int) -> list:
     """Formal-log coefficients l_r of 1 + sum c_r x^r, coefficients in a ring.
 
     Uses r*c_r = sum_{j=1}^r j*l_j*c_{r-j}; coeff_at(0) must be the ring unit.
-    Works for both RationalPolynomial and ShiftPolynomial coefficients.
     """
     l = [None] * (rmax + 1)
     for r in range(1, rmax + 1):
@@ -255,7 +202,7 @@ def _series_log_t(coeff_at, rmax: int) -> list:
     return l
 
 
-def d_poly(r: int) -> RationalPolynomial:
+def d_poly(r: int) -> Polynomial:
     """Formal-log coefficient D_r(t) of the u-series."""
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -268,8 +215,11 @@ def d_poly(r: int) -> RationalPolynomial:
         return _d[r]
 
 
-def m_poly(r: int) -> ShiftPolynomial:
-    """Formal-log coefficient M_r(t, A) of the combined v-series + A t x u-series."""
+def m_poly(r: int) -> Polynomial:
+    """Formal-log coefficient M_r(t, A) of the combined v-series + A t x u-series.
+
+    A polynomial in the two variables (t, A).
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
     with _cache_lock:
@@ -278,11 +228,10 @@ def m_poly(r: int) -> ShiftPolynomial:
 
             def wcoeff(i):
                 if i == 0:
-                    return ShiftPolynomial({(0, 0): 1})
-                c = ShiftPolynomial.from_t_polynomial(_v[i])
-                # + A t * u_{i-1}
-                c = c + ShiftPolynomial({(e + 1, 1): cc for e, cc in _u[i - 1].coeffs.items()})
-                return c
+                    return Polynomial({(0, 0): 1})
+                # v_i(t) + A t u_{i-1}(t)
+                return Polynomial({**{(e, 0): c for (e,), c in _v[i].coeffs.items()},
+                                   **{(e + 1, 1): c for (e,), c in _u[i - 1].coeffs.items()}}, 2)
 
             logs = _series_log_t(wcoeff, r)
             for i in range(1, r + 1):
@@ -293,7 +242,7 @@ def m_poly(r: int) -> ShiftPolynomial:
 def xz_coefficients(r: int):
     """Arrays x_{r,b} and z_{r,b}(A) on the exponent ladder {r+2b : 0 <= b <= r}.
 
-    Returns (xs, zs) with xs[b] a Fraction and zs[b] a dict A-exponent -> Fraction.
+    Returns (xs, zs) with xs[b] a Fraction and zs[b] a polynomial in A.
     Raises StructureError if a generated polynomial has support off the ladder,
     which would signal a recursion transcription bug.
     """
@@ -301,13 +250,15 @@ def xz_coefficients(r: int):
         raise ValueError("r must be >= 1")
     d = d_poly(r)
     m = m_poly(r)
-    ladder = {r + 2 * b for b in range(r + 1)}
-    if not d.support() <= ladder:
-        raise StructureError(f"D_{r} has exponents {sorted(d.support() - ladder)} off the ladder")
-    if not m.t_support() <= ladder:
-        raise StructureError(f"M_{r} has exponents {sorted(m.t_support() - ladder)} off the ladder")
-    xs = [d.coefficient(r + 2 * b) for b in range(r + 1)]
-    zs = [m.shift_coefficient(r + 2 * b) for b in range(r + 1)]
+    ladder = [r + 2 * b for b in range(r + 1)]
+    off_d = {e for (e,) in d.coeffs}.difference(ladder)
+    off_m = {e for e, _a in m.coeffs}.difference(ladder)
+    if off_d:
+        raise StructureError(f"D_{r} has exponents {sorted(off_d)} off the ladder")
+    if off_m:
+        raise StructureError(f"M_{r} has exponents {sorted(off_m)} off the ladder")
+    xs = [d.coeffs.get((e,), Fraction(0)) for e in ladder]
+    zs = [Polynomial({(a,): c for (t, a), c in m.coeffs.items() if t == e}, 1) for e in ladder]
     return xs, zs
 
 
@@ -317,39 +268,32 @@ def residual_bracket(r: int, A) -> list:
     Exact Fractions; their sum over b vanishes for every r (tested).
     """
     A = Fraction(A)
-    idx = 2 * r + 1
-    xs, zs = xz_coefficients(idx)
-    out = []
-    for b in range(idx + 1):
-        zA = sum((c * A ** a for a, c in zs[b].items()), Fraction(0))
-        zmA = sum((c * (-A) ** a for a, c in zs[b].items()), Fraction(0))
-        out.append(2 * xs[b] - zA - zmA)
-    return out
+    xs, zs = xz_coefficients(2 * r + 1)
+    return [2 * x - z.substitute(0, A) - z.substitute(0, -A) for x, z in zip(xs, zs)]
 
 
-def large_nu_term(r: int, A) -> RationalPolynomial:
+def large_nu_term(r: int, A) -> Polynomial:
     """Coefficient of (-nu)^(-r) in the large-order expansion of the log-determinant combination.
 
     Equals -2 D_r(t) + M_r(t, A) + M_r(t, -A) + (A^r + (-A)^r)/r, as an exact
     polynomial in t (the constant term is the shift contribution).
     """
     A = Fraction(A)
-    p = d_poly(r).scale(-2) + m_poly(r).at_shift(A) + m_poly(r).at_shift(-A)
-    const = (A ** r + (-A) ** r) / r
-    return p + RationalPolynomial.constant(const)
+    m = m_poly(r)
+    return (d_poly(r).scale(-2) + m.substitute(1, A) + m.substitute(1, -A)
+            + Polynomial({(0,): (A ** r + (-A) ** r) / r}))
 
 
 def f_r_epsilon(r: int, A, eps, lam, P: int = DEFAULT_DPS):
     """Evaluate 2 D_{2r+1} - M_{2r+1}(.,-A) - M_{2r+1}(.,A) at t = (1 - eps^2 lam)^(-1/2).
 
-    This is the odd-index subtraction polynomial of the regularized trace; it
+    This is the odd-index subtraction polynomial of the regularized trace,
+    -large_nu_term(2r+1, A) (its shift constant vanishes at odd index); it
     vanishes identically at lam = 0 and decays like (-lam)^(-1/2) at infinity.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     ctx = context(P)
-    A = Fraction(A)
-    idx = 2 * r + 1
     eps_m = to_real(eps, P, ctx)
     if not 0 < eps_m < 1:
         raise DomainError(f"eps must lie in (0,1), got {eps}")
@@ -358,20 +302,5 @@ def f_r_epsilon(r: int, A, eps, lam, P: int = DEFAULT_DPS):
     if w.imag == 0 and w.real <= 0:
         raise DomainError(f"1 - eps^2*lam = {w} lies on the branch cut")
     t = 1 / ctx.sqrt(w)
-    poly = d_poly(idx).scale(2) + (m_poly(idx).at_shift(-A) + m_poly(idx).at_shift(A)).scale(-1)
-    acc = ctx.mpc(0)
-    for e, c in sorted(poly.coeffs.items()):
-        acc += to_real(c, P, ctx) * t ** e
+    acc = large_nu_term(2 * r + 1, A).scale(-1).evaluate(lambda e: t ** e, P, ctx)
     return acc.real if acc.imag == 0 else acc
-
-
-def coefficient_tables(rmax: int) -> str:
-    """JSON dump of the x/z coefficient tables up to index rmax (documentation aid)."""
-    tables = {}
-    for r in range(1, rmax + 1):
-        xs, zs = xz_coefficients(r)
-        tables[str(r)] = {
-            "x": [str(c) for c in xs],
-            "z": [{str(a): str(c) for a, c in sorted(z.items())} for z in zs],
-        }
-    return json.dumps(tables, indent=2, sort_keys=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .olver import RationalPolynomial
+from .olver import Polynomial
 
 
 class UnsupportedManifoldError(ValueError):
@@ -186,7 +186,7 @@ def sphere_multiplicity(n: int, k: int, j: int) -> int:
     return int(d)
 
 
-def sphere_multiplicity_polynomial(M: BaseManifold, k: int) -> RationalPolynomial:
+def sphere_multiplicity_polynomial(M: BaseManifold, k: int) -> Polynomial:
     """Multiplicity as an exact polynomial in x = nu = j + (n-1)/2 (spheres only).
 
     Even in x; valid for j >= 1, i.e. x >= (n+1)/2.
@@ -195,18 +195,18 @@ def sphere_multiplicity_polynomial(M: BaseManifold, k: int) -> RationalPolynomia
         raise UnsupportedManifoldError("multiplicity polynomials exist for spheres only")
     n = M.n
     if k >= n:
-        return RationalPolynomial({})
+        return Polynomial({}, 1)
     if n == 1:
-        return RationalPolynomial.constant(2 * M.rank)
+        return Polynomial({(0,): 2 * M.rank})
     m = (n + 1) // 2
     kp = min(k, n - 1 - k)
     lam_tail = [1] * kp + [0] * (m - 1 - kp)
     rho = [m - 1 - i for i in range(m)]
     l_tail = [lam_tail[i - 1] + rho[i] for i in range(1, m)]
     # l_1 = j + m - 1 = x; dimension = prod_i (x^2 - l_i^2) * prod_{i<j tail} (...) / denom
-    poly = RationalPolynomial.constant(1)
+    poly = Polynomial({(0,): 1})
     for li in l_tail:
-        poly = poly * RationalPolynomial({2: 1, 0: -(li ** 2)})
+        poly = poly * Polynomial({(2,): 1, (0,): -(li ** 2)})
     num_tail = Fraction(1)
     den = Fraction(1)
     for i in range(len(l_tail)):
@@ -367,23 +367,31 @@ def read_spectrum_file(path) -> BaseManifold:
                 raise MalformedSpectrumFile(f"{path}:{lineno}: bad header {s!r}") from exc
             continue
         if s.startswith("betti="):
-            bett = tuple(int(b) for b in s[len("betti="):].split(","))
+            try:
+                bett = tuple(int(b) for b in s[len("betti="):].split(","))
+            except ValueError as exc:
+                raise MalformedSpectrumFile(f"{path}:{lineno}: bad betti line {s!r}") from exc
+            if min(bett) < 0:
+                raise MalformedSpectrumFile(f"{path}:{lineno}: negative Betti number in {s!r}")
             continue
         parts = s.split(",")
         if len(parts) != 3:
             raise MalformedSpectrumFile(f"{path}:{lineno}: expected 'k,eta,mult', got {s!r}")
         try:
-            k = int(parts[0])
-            eta = _parse_rational(parts[1])
-            mult = int(parts[2])
-        except ValueError as exc:
+            lines.append((lineno, SpectralLine(int(parts[0]), _parse_rational(parts[1]),
+                                               int(parts[2]))))
+        except (ValueError, ZeroDivisionError) as exc:
             raise MalformedSpectrumFile(f"{path}:{lineno}: {exc}") from exc
-        lines.append(SpectralLine(k, eta, mult))
     if n is None or bett is None:
         raise MalformedSpectrumFile(f"{path}: missing 'dim=' header or 'betti=' line")
     if len(bett) != n + 1:
         raise MalformedSpectrumFile(f"{path}: betti line must carry {n + 1} entries")
-    return BaseManifold("file", n, rank, lines=tuple(lines), betti_raw=bett,
+    for lineno, ln in lines:
+        # coclosed n-forms with positive eigenvalue do not exist
+        if not 0 <= ln.k < n:
+            raise MalformedSpectrumFile(f"{path}:{lineno}: degree {ln.k} outside 0..{n - 1}")
+    lines = tuple(ln for _lineno, ln in lines)
+    return BaseManifold("file", n, rank, lines=lines, betti_raw=bett,
                         label=f"file:{path.name}")
 
 

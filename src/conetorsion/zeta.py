@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .olver import Polynomial
 from .precision import DEFAULT_DPS, context, to_real
 from .spectrum import (
     BaseManifold,
@@ -68,33 +69,32 @@ class MeromorphicPoint:
 class ZetaRepresentation:
     """Finite Hurwitz combination sum_p a_p zeta_H(s - p, x0) (exact, spheres).
 
-    `weights` maps the power offset p to the exact coefficient a_p of the
-    multiplicity polynomial in x = nu; `shift` is the first frequency x0.
+    `weights` is the multiplicity polynomial sum_p a_p x^p in x = nu; `shift`
+    is the first frequency x0.
     """
 
-    def __init__(self, weights: dict, shift: Fraction):
-        self.weights = {int(p): Fraction(c) for p, c in weights.items() if c != 0}
+    def __init__(self, weights: Polynomial, shift: Fraction):
+        self.weights = weights
         self.shift = Fraction(shift)
 
     def pole_locations(self):
-        return sorted(Fraction(p + 1) for p in self.weights)
+        return sorted(Fraction(p + 1) for (p,) in self.weights.coeffs)
 
     def residue_at(self, s0) -> Fraction:
-        s0 = Fraction(s0)
-        return self.weights.get(int(s0 - 1), Fraction(0)) if (s0 - 1).denominator == 1 else Fraction(0)
+        return self.weights.coeffs.get((Fraction(s0) - 1,), Fraction(0))
 
     def value(self, s, P: int = DEFAULT_DPS):
         ctx = context(P)
         if isinstance(s, (int, Fraction)):
             s_f = Fraction(s)
-            if s_f - 1 in self.weights:
+            if (s_f - 1,) in self.weights.coeffs:
                 raise PoleError(s_f, self.residue_at(s_f))
             s_m = to_real(s_f, P, ctx)
         else:
             s_m = ctx.mpc(s)
         acc = ctx.mpc(0)
         a = to_real(self.shift, P, ctx)
-        for p, c in sorted(self.weights.items()):
+        for (p,), c in sorted(self.weights.coeffs.items()):
             arg = s_m - p
             if arg == 1:
                 raise PoleError(Fraction(p + 1), self.residue_at(Fraction(p + 1)))
@@ -107,7 +107,7 @@ class ZetaRepresentation:
         s0 = Fraction(s0)
         a = to_real(self.shift, P, ctx)
         acc = ctx.mpf(0)
-        for p, c in sorted(self.weights.items()):
+        for (p,), c in sorted(self.weights.coeffs.items()):
             cm = to_real(c, P, ctx)
             if Fraction(p + 1) == s0:
                 acc += -cm * ctx.digamma(a)
@@ -121,9 +121,7 @@ def shifted_zeta_representation(M: BaseManifold, k: int) -> ZetaRepresentation:
     if M.kind != "sphere":
         raise ApproximateOnlyError(
             f"{M.name} has no exact shifted-zeta continuation; use approximate mode")
-    poly = sphere_multiplicity_polynomial(M, k)
-    x0 = Fraction(M.n + 1, 2)
-    return ZetaRepresentation(dict(poly.coeffs), x0)
+    return ZetaRepresentation(sphere_multiplicity_polynomial(M, k), Fraction(M.n + 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +274,8 @@ def zeta_ccl_at_zero(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
     A = DegreeData(k, M.n).A
     for shift in (A, -A):
         a = to_real(rep.shift - shift, P, ctx)
-        for q, c in sorted(_shift_polynomial_variable(rep.weights, shift).coeffs.items()):
-            if c:
-                z0p += to_real(c, P, ctx) * ctx.zeta(-q, a, 1)
+        for (q,), c in sorted(_shift_polynomial_variable(rep.weights, shift).coeffs.items()):
+            z0p += to_real(c, P, ctx) * ctx.zeta(-q, a, 1)
     return z0, z0p
 
 
@@ -345,7 +342,7 @@ class CoclosedZetaB:
         # multiplicity polynomial in w = j + k (exact)
         poly_x = sphere_multiplicity_polynomial(M, k)  # in x = j + (n-1)/2
         # convert: x = w + A  (since x = j + (n-1)/2 = (j+k) + A)
-        self.poly_w = _shift_polynomial_variable(poly_x.coeffs, self.A)
+        self.poly_w = _shift_polynomial_variable(poly_x, self.A)
 
     def explicit_lines(self):
         from .spectrum import sphere_multiplicity
@@ -358,7 +355,7 @@ class CoclosedZetaB:
         sigma = Fraction(sigma)
         twoA = 2 * self.A
         res = Fraction(0)
-        for q, b in self.poly_w.coeffs.items():
+        for (q,), b in self.poly_w.coeffs.items():
             i = 1 + q - 2 * sigma
             if i.denominator != 1 or i < 0:
                 continue
@@ -385,7 +382,7 @@ class CoclosedZetaB:
 
     def _pole_candidates(self):
         out = set()
-        for q in self.poly_w.coeffs:
+        for (q,) in self.poly_w.coeffs:
             for i in range(0, q + 2):
                 loc = Fraction(1 + q - i, 2)
                 out.add(loc)
@@ -401,7 +398,7 @@ class CoclosedZetaB:
         i = 0
         while True:
             gi = ctx.mpf(0)
-            for q, b in sorted(self.poly_w.coeffs.items()):
+            for (q,), b in sorted(self.poly_w.coeffs.items()):
                 gi += to_real(b, P, ctx) * ctx.zeta(2 * s_m + i - q, a)
             term = ctx.binomial(-s_m, i) * twoA ** i * gi
             acc += term
@@ -415,14 +412,13 @@ class CoclosedZetaB:
         return acc
 
 
-def _shift_polynomial_variable(coeffs: dict, shift: Fraction):
-    """Rewrite sum a_p x^p (coeffs = {p: a_p}) with x = w + shift as a polynomial in w (exact)."""
-    from .olver import RationalPolynomial
+def _shift_polynomial_variable(poly: Polynomial, shift: Fraction) -> Polynomial:
+    """Rewrite sum a_p x^p with x = w + shift as a polynomial in w (exact)."""
     out = {}
-    for p, c in coeffs.items():
+    for (p,), c in poly.coeffs.items():
         for q in range(p + 1):
-            out[q] = out.get(q, Fraction(0)) + c * math.comb(p, q) * shift ** (p - q)
-    return RationalPolynomial(out)
+            out[(q,)] = out.get((q,), 0) + c * math.comb(p, q) * shift ** (p - q)
+    return Polynomial(out, 1)
 
 
 def _binom_frac(top: Fraction, i: int) -> Fraction:
@@ -442,7 +438,7 @@ def shifted_residue_via_route_b(M: BaseManifold, k: int, r: int, P: int = DEFAUL
     s0 = Fraction(2 * r + 1, 2)
     A2 = DegreeData(k, M.n).A ** 2
     acc = Fraction(0)
-    maxq = max(zb.poly_w.coeffs) if zb.poly_w.coeffs else 0
+    maxq = max((q for (q,) in zb.poly_w.coeffs), default=0)
     j = 0
     while True:
         rho = zb.residue(s0 + j)

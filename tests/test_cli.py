@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conetorsion import cli
+from conetorsion import cli, verify
 from conetorsion.cli import main, parse_base
 from conetorsion.spectrum import UnsupportedManifoldError
 
@@ -114,4 +114,30 @@ def test_malformed_numbers_are_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rmax", ["0", "-3"])
+def test_verify_dm_rejects_rmax_below_one(capsys, rmax):
+    code, out, err = run(capsys, "verify", "--suite", "dm", "--rmax", rmax)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --rmax")
+    with pytest.raises(ValueError):
+        verify.check_dm_identity(int(rmax))
+
+
+@pytest.mark.parametrize("body, lineno", [
+    ("dim=3 rank=1\nbetti=1,0,x,1\n0,3,4\n", 2),
+    ("dim=3 rank=1\nbetti=-1,0,0,1\n0,3,4\n", 2),
+    ("dim=3 rank=1\nbetti=1,0,0,1\n0,-3,4\n", 3),
+    ("dim=3 rank=1\nbetti=1,0,0,1\n0,3,0\n", 3),
+    ("dim=3 rank=1\nbetti=1,0,0,1\n9,3,4\n", 3),
+])
+def test_malformed_spectrum_files_are_errors(capsys, tmp_path, body, lineno):
+    path = tmp_path / "bad.spec"
+    path.write_text(body)
+    code, _, err = run(capsys, "torsion", "--spectrum-file", str(path))
+    assert code == 1
+    assert err.startswith(f"error: {path}:{lineno}: ")
     assert "Traceback" not in err

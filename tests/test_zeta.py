@@ -145,10 +145,10 @@ def _series_ccl_prime(M, k, P):
     rep = shifted_zeta_representation(M, k)
     x0 = ctx.mpf(rep.shift.numerator) / rep.shift.denominator
     acc = ctx.mpf(0)
-    for p, c in rep.weights.items():
+    for (p,), c in rep.weights.coeffs.items():
         acc += 2 * ctx.mpf(c.numerator) / c.denominator * ctx.zeta(-p, x0, 1)
     A = DegreeData(k, M.n).A
-    if A == 0 or not rep.weights:
+    if A == 0 or not rep.weights.coeffs:
         return acc
     A2 = ctx.mpf(A.numerator) ** 2 / A.denominator ** 2
     tol = ctx.mpf(10) ** (-(P + 5))
