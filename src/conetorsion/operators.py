@@ -30,6 +30,13 @@ Bessel-quotient forms; the displays are kept as cross-checks.  A brute-force
 eigenvalue oracle (dense scan + argument-principle count verification +
 bracketed refinement) validates both routes and the absolute harmonic-sector
 determinant 2 eps^(k - n/2).
+
+Derivatives come from the one-sided recurrences, two Bessel evaluations per
+function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y in the oracle,
+and I' = I_{nu-1} - (nu/w) I_nu, K' = -K_{nu-1} - (nu/w) K_nu in _bessel_pack.
+Neither cancels for real w: the K terms share a sign and I_{nu-1} > (nu/w) I_nu.
+The precision module keeps the two-sided forms (I_{nu-1} + I_{nu+1})/2 and
+-(K_{nu-1} + K_{nu+1})/2, so the wronskian suite checks an independent route.
 """
 
 from __future__ import annotations
@@ -149,48 +156,33 @@ def normalized_solution(family: str, nu, A, x, z, P: int = DEFAULT_DPS):
     z_m = to_complex(z, P, ctx)
     if z_m.real < 0:
         raise DomainError(f"z = {z} outside the sector Re z >= 0")
-    I = ctx.besseli
-    K = ctx.besselk
-    Ip = (I(nu_m - 1, z_m) + I(nu_m + 1, z_m)) / 2
-    Kp = -(K(nu_m - 1, z_m) + K(nu_m + 1, z_m)) / 2
-    val = ((z_m * Ip + A_m * I(nu_m, z_m)) * ctx.sqrt(x_m) * K(nu_m, z_m * x_m)
-           - (z_m * Kp + A_m * K(nu_m, z_m)) * ctx.sqrt(x_m) * I(nu_m, z_m * x_m))
+    I, Ip, K, Kp = _bessel_pack(ctx, nu_m, z_m)
+    val = ((z_m * Ip + A_m * I) * ctx.sqrt(x_m) * ctx.besselk(nu_m, z_m * x_m)
+           - (z_m * Kp + A_m * K) * ctx.sqrt(x_m) * ctx.besseli(nu_m, z_m * x_m))
     return val.real if val.imag == 0 else val
 
 
 def _bessel_pack(ctx, nu, w):
-    """I, I', K, K' at argument w (mpmath context values)."""
+    """I, I', K, K' at argument w (mpmath context values), w != 0.
+
+    I' = I_{nu-1} - (nu/w) I_nu and K' = -K_{nu-1} - (nu/w) K_nu.
+    """
     I = ctx.besseli(nu, w)
     K = ctx.besselk(nu, w)
-    Ip = (ctx.besseli(nu - 1, w) + ctx.besseli(nu + 1, w)) / 2
-    Kp = -(ctx.besselk(nu - 1, w) + ctx.besselk(nu + 1, w)) / 2
-    return I, Ip, K, Kp
-
-
-def _dirichlet_seed_solution(ctx, nu, w, x):
-    """sqrt(x) [I_nu(w x) K_nu(w) - K_nu(w x) I_nu(w)]: vanishes at 1, slope 1 there."""
-    return ctx.sqrt(x) * (ctx.besseli(nu, w * x) * ctx.besselk(nu, w)
-                          - ctx.besselk(nu, w * x) * ctx.besseli(nu, w))
+    r = nu / w
+    return I, ctx.besseli(nu - 1, w) - r * I, K, -ctx.besselk(nu - 1, w) - r * K
 
 
 def _dirichlet_seed_robin_data(ctx, nu, w, x, shift):
-    """The Robin functional with beta + 1/2 = shift applied to the seed solution.
+    """The Robin functional with beta + 1/2 = shift applied to the seed solution
+    sqrt(x) [I_nu(w x) K_nu(w) - K_nu(w x) I_nu(w)], which vanishes at 1.
 
     Analytic derivative: equals x^(-1/2) [ (w x I'(wx) + shift I(wx)) K(w)
                                           - (w x K'(wx) + shift K(wx)) I(w) ].
     """
-    I, Ip, K, Kp = _bessel_pack(ctx, nu, w)
-    Iwx = ctx.besseli(nu, w * x)
-    Kwx = ctx.besselk(nu, w * x)
-    Ipwx = (ctx.besseli(nu - 1, w * x) + ctx.besseli(nu + 1, w * x)) / 2
-    Kpwx = -(ctx.besselk(nu - 1, w * x) + ctx.besselk(nu + 1, w * x)) / 2
-    return ((w * x * Ipwx + shift * Iwx) * K - (w * x * Kpwx + shift * Kwx) * I) / ctx.sqrt(x)
-
-
-def _dirichlet_seed_zero(ctx, nu, x):
-    """z = 0 limit of the seed solution: (x^(nu+1/2) - x^(1/2-nu)) / (2 nu)."""
-    half = ctx.mpf(1) / 2
-    return (x ** (nu + half) - x ** (half - nu)) / (2 * nu)
+    Iwx, Ipwx, Kwx, Kpwx = _bessel_pack(ctx, nu, w * x)
+    return ((w * x * Ipwx + shift * Iwx) * ctx.besselk(nu, w)
+            - (w * x * Kpwx + shift * Kwx) * ctx.besseli(nu, w)) / ctx.sqrt(x)
 
 
 def _dirichlet_seed_zero_robin(ctx, nu, x, shift):
@@ -399,40 +391,48 @@ def harmonic_operator(k: int, n: int, eps) -> ModelOperator:
 # Brute-force eigenvalue oracle (double precision scan + certified count)
 
 
-def _bc_value_arrays(op: ModelOperator, mu):
-    """Boundary functionals applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x).
+def _boundary_functional(op: ModelOperator):
+    """The boundary functionals of op applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x).
 
-    Returns (UL_J, UL_Y, UR_J, UR_Y) as numpy arrays over the mu grid; the
-    full-cone case returns (None, None, UR_J, None).
+    The conditions become float coefficients (x0, sqrt(x0), beta + 1/2) once;
+    the returned function takes real or complex mu, scalar or array, and gives
+    (UL_J, UL_Y, UR_J, UR_Y).  On the full interval the left pair is
+    (None, None): only the Dirichlet branch at 0 is supported.
     """
     nu = float(op.nu)
-    conds = op.boundary_conditions()
 
-    def functional(side, kind, beta, C, Cp):
+    def coefficients(side, kind, beta):
+        if side == "0":
+            if kind != "D0":
+                raise NotImplementedError("full-interval oracle supports the Dirichlet branch at 0 only")
+            return None
         x0 = float(op.eps) if side == "eps" else 1.0
-        if kind == "D":
-            return math.sqrt(x0) * C(nu, mu * x0)
-        shift = float(Fraction(beta) + Fraction(1, 2))
-        return (mu * x0 * Cp(nu, mu * x0) + shift * C(nu, mu * x0)) / math.sqrt(x0)
+        return x0, math.sqrt(x0), None if kind == "D" else float(Fraction(beta) + Fraction(1, 2))
 
-    if op.eps is None:
-        left, right = conds
-        if left[1] != "D0":
-            raise NotImplementedError("full-interval oracle supports the Dirichlet branch at 0 only")
-        URJ = functional(*right, _sp.jv, _sp.jvp)
-        return None, None, URJ, None
-    left, right = conds
-    ULJ = functional(*left, _sp.jv, _sp.jvp)
-    ULY = functional(*left, _sp.yv, _sp.yvp)
-    URJ = functional(*right, _sp.jv, _sp.jvp)
-    URY = functional(*right, _sp.yv, _sp.yvp)
-    return ULJ, ULY, URJ, URY
+    left, right = (coefficients(*cond) for cond in op.boundary_conditions())
+
+    def apply(C, mu, x0, root, shift):
+        w = mu * x0
+        c = C(nu, w)
+        if shift is None:
+            return root * c
+        # w C'_nu(w) + shift C_nu(w) = w C_{nu-1}(w) + (shift - nu) C_nu(w)
+        return (w * C(nu - 1, w) + (shift - nu) * c) / root
+
+    def functional(mu):
+        if left is None:
+            return None, None, apply(_sp.jv, mu, *right), None
+        return (apply(_sp.jv, mu, *left), apply(_sp.yv, mu, *left),
+                apply(_sp.jv, mu, *right), apply(_sp.yv, mu, *right))
+
+    return functional
 
 
 def _eigen_condition(op: ModelOperator):
+    functional = _boundary_functional(op)
+
     def F(mu):
-        mu = np.asarray(mu, dtype=float)
-        ULJ, ULY, URJ, URY = _bc_value_arrays(op, mu)
+        ULJ, ULY, URJ, URY = functional(mu)
         if ULJ is None:
             return URJ
         return ULJ * URY - ULY * URJ
@@ -442,37 +442,16 @@ def _eigen_condition(op: ModelOperator):
 def _winding_count(op: ModelOperator, mu_lo: float, mu_hi: float, samples: int) -> int:
     """Zeros of the eigencondition inside a thin rectangle around [mu_lo, mu_hi],
     counted by the argument principle (phase tracking along the boundary)."""
-    nu = float(op.nu)
-    conds = op.boundary_conditions()
     delta = (mu_hi - mu_lo) / samples * 6.0
-
-    def Fc(mu):
-        def functional(side, kind, beta):
-            x0 = float(op.eps) if side == "eps" else 1.0
-            if kind == "D":
-                return math.sqrt(x0) * _sp.jv(nu, mu * x0), math.sqrt(x0) * _sp.yv(nu, mu * x0)
-            shift = float(Fraction(beta) + Fraction(1, 2))
-            j = (mu * x0 * _sp.jvp(nu, mu * x0) + shift * _sp.jv(nu, mu * x0)) / math.sqrt(x0)
-            y = (mu * x0 * _sp.yvp(nu, mu * x0) + shift * _sp.yv(nu, mu * x0)) / math.sqrt(x0)
-            return j, y
-        if op.eps is None:
-            right = conds[1]
-            x0 = 1.0
-            if right[1] == "D":
-                return _sp.jv(nu, mu)
-            shift = float(Fraction(right[2]) + Fraction(1, 2))
-            return mu * _sp.jvp(nu, mu) + shift * _sp.jv(nu, mu)
-        (lj, ly) = functional(*conds[0])
-        (rj, ry) = functional(*conds[1])
-        return lj * ry - ly * rj
-
-    path = []
-    ns = samples
-    path.extend(mu_lo + (mu_hi - mu_lo) * t - 1j * delta for t in np.linspace(0, 1, ns))
-    path.extend(mu_hi + 1j * delta * t for t in np.linspace(-1, 1, 60))
-    path.extend(mu_hi + (mu_lo - mu_hi) * t + 1j * delta for t in np.linspace(0, 1, ns))
-    path.extend(mu_lo - 1j * delta * t for t in np.linspace(-1, 1, 60))
-    vals = np.array([Fc(z) for z in path])
+    t = np.linspace(0, 1, samples)
+    s = np.linspace(-1, 1, 60)
+    path = np.concatenate([
+        mu_lo + (mu_hi - mu_lo) * t - 1j * delta,
+        mu_hi + 1j * delta * s,
+        mu_hi + (mu_lo - mu_hi) * t + 1j * delta,
+        mu_lo - 1j * delta * s,
+    ])
+    vals = _eigen_condition(op)(path)
     if np.any(vals == 0) or np.any(~np.isfinite(vals)):
         raise RootIsolationError("argument-principle contour hit a zero or overflow")
     phases = np.unwrap(np.angle(vals))
@@ -501,7 +480,7 @@ def eigenvalues_oracle(op: ModelOperator, count: int, verify_winding: bool = Tru
     idx = np.where(sgn[:-1] * sgn[1:] < 0)[0]
     roots = []
     for i in idx:
-        roots.append(brentq(lambda m: float(F(m)), grid[i], grid[i + 1],
+        roots.append(brentq(F, grid[i], grid[i + 1],
                             xtol=1e-13, rtol=8.9e-16, maxiter=200))
         if len(roots) >= count + 2:
             break

@@ -378,10 +378,14 @@ def read_spectrum_file(path) -> BaseManifold:
         if len(parts) != 3:
             raise MalformedSpectrumFile(f"{path}:{lineno}: expected 'k,eta,mult', got {s!r}")
         try:
-            lines.append((lineno, SpectralLine(int(parts[0]), _parse_rational(parts[1]),
-                                               int(parts[2]))))
-        except (ValueError, ZeroDivisionError) as exc:
+            line = SpectralLine(int(parts[0]), _parse_rational(parts[1]), int(parts[2]))
+            float(line.eta)     # the Weyl fit and nu_stream work in floats
+        except OverflowError as exc:
+            raise MalformedSpectrumFile(
+                f"{path}:{lineno}: eta {parts[1].strip()} is too large for a float") from exc
+        except ValueError as exc:
             raise MalformedSpectrumFile(f"{path}:{lineno}: {exc}") from exc
+        lines.append((lineno, line))
     if n is None or bett is None:
         raise MalformedSpectrumFile(f"{path}: missing 'dim=' header or 'betti=' line")
     if len(bett) != n + 1:
@@ -399,6 +403,8 @@ def _parse_rational(s: str) -> Fraction:
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(s)
 

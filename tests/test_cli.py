@@ -127,12 +127,21 @@ def test_verify_dm_rejects_rmax_below_one(capsys, rmax):
         verify.check_dm_identity(int(rmax))
 
 
+# the message each case must carry, where the test pins one
+SPECTRUM_FILE_MESSAGES = {
+    "dim=3 rank=1\nbetti=1,0,0,1\n0,1e400,4\n": "eta 1e400 is too large for a float",
+    "dim=3 rank=1\nbetti=1,0,0,1\n0,3,4\n1,3/0,4\n": "zero denominator in '3/0'",
+}
+
+
 @pytest.mark.parametrize("body, lineno", [
     ("dim=3 rank=1\nbetti=1,0,x,1\n0,3,4\n", 2),
     ("dim=3 rank=1\nbetti=-1,0,0,1\n0,3,4\n", 2),
     ("dim=3 rank=1\nbetti=1,0,0,1\n0,-3,4\n", 3),
     ("dim=3 rank=1\nbetti=1,0,0,1\n0,3,0\n", 3),
     ("dim=3 rank=1\nbetti=1,0,0,1\n9,3,4\n", 3),
+    ("dim=3 rank=1\nbetti=1,0,0,1\n0,1e400,4\n", 3),
+    ("dim=3 rank=1\nbetti=1,0,0,1\n0,3,4\n1,3/0,4\n", 4),
 ])
 def test_malformed_spectrum_files_are_errors(capsys, tmp_path, body, lineno):
     path = tmp_path / "bad.spec"
@@ -141,3 +150,5 @@ def test_malformed_spectrum_files_are_errors(capsys, tmp_path, body, lineno):
     assert code == 1
     assert err.startswith(f"error: {path}:{lineno}: ")
     assert "Traceback" not in err
+    assert SPECTRUM_FILE_MESSAGES.get(body, "") in err
+

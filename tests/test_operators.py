@@ -217,3 +217,58 @@ def test_determinant_ratio_wrapper():
     assert determinant_ratio(op, 0, 30).value == 1
     full = ModelOperator("psi0", 1.5, F(1, 2), None)
     assert determinant_ratio(full, 0, 30).value == 1
+
+
+def _two_sided_condition(op, mu):
+    """The eigencondition at one mu with derivatives from scipy's jvp/yvp."""
+    import scipy.special as sp
+    values = []
+    for side, kind, beta in op.boundary_conditions():
+        x0 = float(op.eps) if side == "eps" else 1.0
+        for C, Cp in ((sp.jv, sp.jvp), (sp.yv, sp.yvp)):
+            c = C(op.nu, mu * x0)
+            if kind == "D":
+                values.append(math.sqrt(x0) * c)
+            else:
+                shift = float(beta + F(1, 2))
+                values.append((mu * x0 * Cp(op.nu, mu * x0) + shift * c) / math.sqrt(x0))
+    ULJ, ULY, URJ, URY = values
+    return ULJ * URY - ULY * URJ
+
+
+WINDING_OPERATORS = [ModelOperator(v, 1.5, F(1, 2), F(1, 3)) for v in ("psi2", "phi2", "psi0", "phi0")]
+WINDING_OPERATORS.append(harmonic_operator(0, 3, F(1, 2)))
+
+
+@pytest.mark.parametrize("op", WINDING_OPERATORS, ids=lambda op: op.variant)
+def test_winding_count_certifies_bracketed_roots(op):
+    count = 220
+    roots = np.sqrt(eigenvalues_oracle(op, count + 5, verify_winding=False))
+    spacing = math.pi / op.length
+    lo = roots[0] * 0.5
+    for hi in (roots[count - 1] + 0.45 * spacing, (roots[100] + roots[101]) / 2):
+        bracketed = int(np.count_nonzero((roots > lo) & (roots < hi)))
+        assert operators._winding_count(op, lo, hi, samples=max(400, count * 24)) == bracketed
+    assert bracketed == 101
+    # the array evaluation on complex mu is the scalar one, point by point
+    F_op = operators._eigen_condition(op)
+    path = np.linspace(lo, roots[-1], 257) + 1j * np.linspace(-0.3, 0.3, 257)
+    at_once = F_op(path)
+    one_by_one = np.array([F_op(complex(mu)) for mu in path])
+    np.testing.assert_allclose(at_once, one_by_one, rtol=1e-12, atol=0)
+    two_sided = np.array([_two_sided_condition(op, complex(mu)) for mu in path])
+    np.testing.assert_allclose(at_once, two_sided, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("nu", [F(1, 2), F(3, 2), 20, 80])
+def test_bessel_pack_recurrence_derivatives(nu):
+    P = 50
+    ctx = context(P)
+    nu_m = ctx.mpf(nu.numerator) / nu.denominator if isinstance(nu, F) else ctx.mpf(nu)
+    for w in (ctx.mpf(1) / 3, ctx.mpf(7), ctx.mpc(2, 3), ctx.mpc(40, -25)):
+        I, Ip, K, Kp = operators._bessel_pack(ctx, nu_m, w)
+        two_sided_I = (ctx.besseli(nu_m - 1, w) + ctx.besseli(nu_m + 1, w)) / 2
+        two_sided_K = -(ctx.besselk(nu_m - 1, w) + ctx.besselk(nu_m + 1, w)) / 2
+        assert abs(Ip - two_sided_I) <= ctx.mpf(10) ** (5 - P) * abs(two_sided_I)
+        assert abs(Kp - two_sided_K) <= ctx.mpf(10) ** (5 - P) * abs(two_sided_K)
+        assert I == ctx.besseli(nu_m, w) and K == ctx.besselk(nu_m, w)
