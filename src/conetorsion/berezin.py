@@ -265,10 +265,6 @@ class AnomalyClass:
     def value(self, P: int = DEFAULT_DPS):
         return _pi_value(self.coefficient, P)
 
-    def integral(self, volume: Polynomial, P: int = DEFAULT_DPS):
-        """integral over N: class coefficient times an exact volume sum c_p pi^(p/2)."""
-        return _pi_value(self.coefficient * volume, P)
-
 
 def _pi_value(x: Polynomial, P: int):
     """Numeric value of sum c_p pi^(p/2)."""

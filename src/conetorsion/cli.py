@@ -1,6 +1,6 @@
 """Command line driver: torsion reports, verification suites, spectrum dumps.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 an audit or
+Exit codes: 0 success, 1 configuration, usage or I/O error, 2 an audit or
 verification check failed beyond its tolerance.  JSON payloads carry all
 numbers as full-precision decimal strings and are byte-reproducible for a
 fixed configuration (sorted keys, fixed reduction orders, no timestamps).
@@ -23,6 +23,14 @@ DEFAULT_PRECISION_ENV = "CONETORSION_PRECISION"
 
 class UsageError(ValueError):
     """A command-line value that cannot be used (malformed or out of range)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors end in exit 1, like every usage error;
+    argparse's own exit 2 would read as a failed check."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _fraction_in(option: str, text: str, low, high=None) -> Fraction:
@@ -67,9 +75,9 @@ def parse_base(spec: str) -> spectrum.BaseManifold:
 
 
 def _load_base(args) -> spectrum.BaseManifold:
-    if getattr(args, "spectrum_file", None):
+    if args.spectrum_file:
         return spectrum.read_spectrum_file(args.spectrum_file)
-    if getattr(args, "base", None):
+    if args.base:
         return parse_base(args.base)
     raise UnsupportedManifoldError("one of --base or --spectrum-file is required")
 
@@ -98,9 +106,14 @@ def _breakdown_table(report: dict) -> str:
 
 
 def cmd_torsion(args) -> int:
+    if args.precision < 20:
+        raise UsageError("precision must be at least 20 digits")
     M = _load_base(args)
     eps_list = (tuple(_fraction_in("--eps", e, 0, 1) for e in args.eps.split(","))
                 if args.eps else (Fraction(1, 2), Fraction(1, 4)))
+    if len(set(eps_list)) < 2:
+        # the audit compares the torsion difference across radii
+        raise UsageError(f"--eps needs at least two distinct radii, got {args.eps}")
     report = torsion.torsion_report(M, args.precision, eps_list)
     if args.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
@@ -147,30 +160,31 @@ def cmd_spectrum(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="conetorsion",
         description="Analytic torsion of even-dimensional cones: reports and verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--base", help="sphere:<n>[:rank] or torus:<n>[:rank[:scale]]")
-    common.add_argument("--spectrum-file", help="path to a spectrum file")
-    common.add_argument("--precision", type=int, default=_default_precision(),
-                        help="working precision in decimal digits (>= 20)")
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "table"), default="json")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to this path instead of stdout")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--base", help="sphere:<n>[:rank] or torus:<n>[:rank[:scale]]")
+    source.add_argument("--spectrum-file", help="path to a spectrum file")
 
-    p_t = sub.add_parser("torsion", parents=[common], help="full torsion breakdown report")
+    p_t = sub.add_parser("torsion", parents=[source, out], help="full torsion breakdown report")
+    p_t.add_argument("--precision", type=int, default=_default_precision(),
+                     help="working precision in decimal digits (>= 20)")
+    p_t.add_argument("--format", choices=("json", "table"), default="json")
     p_t.add_argument("--eps", help="comma-separated truncation radii for the audits, e.g. 1/2,1/4")
     p_t.set_defaults(fn=cmd_torsion)
 
-    p_v = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p_v = sub.add_parser("verify", parents=[out], help="run verification suites")
     p_v.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
     p_v.add_argument("--rmax", type=int, default=9)
     p_v.add_argument("--grid", default="small", choices=sorted(verify.DETRATIO_GRID))
     p_v.set_defaults(fn=cmd_verify)
 
-    p_s = sub.add_parser("spectrum", parents=[common], help="dump a base spectrum file")
+    p_s = sub.add_parser("spectrum", parents=[source, out], help="dump a base spectrum file")
     p_s.add_argument("--cutoff", required=True, help="inclusive cutoff in nu")
     p_s.set_defaults(fn=cmd_spectrum)
     return ap
@@ -178,15 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        ap = build_parser()
-    except PrecisionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    args = ap.parse_args(argv)
-    if args.precision < 20:
-        sys.stderr.write("error: precision must be at least 20 digits\n")
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (UnsupportedManifoldError, MalformedSpectrumFile, PrecisionError, UsageError,
             OSError) as exc:

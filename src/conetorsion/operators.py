@@ -20,8 +20,7 @@ Variants (sign convention sigma = +1 for the 'psi' family, -1 for 'phi'):
 
     psi2 / phi2 on [eps,1]: Dirichlet at eps, N(sigma A - 1/2) at 1;
     psi0 / phi0 on [eps,1]: N(-sigma A - 1/2) at eps, Dirichlet at 1;
-    h0 (harmonic sector):   like psi0 with order nu = |A|;
-    h1:                     Dirichlet at eps, N(A + 1/2) at 1.
+    h0 (harmonic sector):   like psi0 with order nu = |A|.
 
 Zeta-determinant ratios det(L + nu^2 z^2)/det(L) are evaluated through
 boundary data of explicitly normalized solutions (the boundary-value
@@ -53,7 +52,7 @@ from scipy.optimize import brentq
 from .precision import DEFAULT_DPS, DomainError, context, to_complex, to_real
 
 FAMILIES = ("psi", "phi")
-VARIANTS = ("psi2", "phi2", "psi0", "phi0", "h0", "h1")
+VARIANTS = ("psi2", "phi2", "psi0", "phi0", "h0")
 
 
 class RootIsolationError(RuntimeError):
@@ -61,22 +60,10 @@ class RootIsolationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DeterminantRatio:
-    """A spectral-shift determinant quotient det(L + nu^2 z^2)/det(L).
-
-    Normalized to 1 at z = 0 by construction.
-    """
-
-    operator: "ModelOperator"
-    z: object
-    value: object
-
-
-@dataclass(frozen=True)
 class ModelOperator:
     """Descriptor of one scalar model operator.
 
-    variant: one of psi2/phi2/psi0/phi0/h0/h1; nu: Bessel order (> 0 except
+    variant: one of psi2/phi2/psi0/phi0/h0; nu: Bessel order (> 0 except
     the harmonic middle degree, nu = 0); A: the degree shift entering the
     Robin coefficients; eps: left endpoint of [eps,1], or None for the full
     interval (0,1] with the admissible-branch condition at 0.
@@ -103,8 +90,8 @@ class ModelOperator:
         """((side, kind, beta), ...) with side in {'0','eps','1'}.
 
         Kinds: 'D' Dirichlet, 'N' the Robin functional with coefficient beta,
-        'D0'/'N0' the admissible-branch conditions at the cone tip (the 'D0'
-        branch keeps the x^(nu+1/2) solution).
+        'D0' the admissible-branch condition at the cone tip, which keeps the
+        x^(nu+1/2) solution.
         """
         A = Fraction(self.A)
         if self.eps is None:
@@ -114,17 +101,14 @@ class ModelOperator:
                 "psi0": ("1", "D", None),
                 "phi0": ("1", "D", None),
                 "h0": ("1", "D", None),
-                "h1": ("1", "N", A + Fraction(1, 2)),
             }[self.variant]
-            left = ("0", "N0", None) if self.variant == "h1" else ("0", "D0", None)
-            return (left, right)
+            return (("0", "D0", None), right)
         table = {
             "psi2": (("eps", "D", None), ("1", "N", A - Fraction(1, 2))),
             "phi2": (("eps", "D", None), ("1", "N", -A - Fraction(1, 2))),
             "psi0": (("eps", "N", -A - Fraction(1, 2)), ("1", "D", None)),
             "phi0": (("eps", "N", A - Fraction(1, 2)), ("1", "D", None)),
             "h0": (("eps", "N", -A - Fraction(1, 2)), ("1", "D", None)),
-            "h1": (("eps", "D", None), ("1", "N", A + Fraction(1, 2))),
         }
         return table[self.variant]
 
@@ -285,25 +269,13 @@ def det_ratio_truncated_displayed(variant: str, nu, A, z, eps, P: int = DEFAULT_
 # The combined log-determinant function
 
 
-def determinant_ratio(op: ModelOperator, z, P: int = DEFAULT_DPS) -> DeterminantRatio:
-    """Determinant quotient of a model operator at spectral shift (nu z)^2."""
-    if op.eps is None:
-        val = det_ratio_full_cone(op.variant, op.nu, op.A, z, P)
-    else:
-        val = det_ratio_truncated(op.variant, op.nu, op.A, z, op.eps, P)
-    return DeterminantRatio(op, z, val)
-
-
-def t_function(k: int, n: int, nu, eps, lam, P: int = DEFAULT_DPS, form: str = "bessel"):
+def t_function(k: int, n: int, nu, eps, lam, P: int = DEFAULT_DPS):
     """The eight-log combination t(lam) entering the regularized trace per frequency.
 
     Vanishes at lam = 0 (evaluated there through the exact small-argument
     limits, which is also where the eps-dependence cancels), grows like
     log(-lam) + b with b = 2 log eps - log(1 - A^2/nu^2), and admits the
     large-order expansion with the coefficients of olver.large_nu_term.
-
-    form='determinants' assembles the same quantity from the eight
-    determinant ratios (cross-validation path).
     """
     if n < 1 or n % 2 == 0:
         raise DomainError("n must be odd")
@@ -330,22 +302,7 @@ def t_function(k: int, n: int, nu, eps, lam, P: int = DEFAULT_DPS, form: str = "
     lam_m = to_complex(lam, P, ctx)
     if lam_m.imag == 0 and lam_m.real > 0:
         raise DomainError("lam on the positive real axis lies on the branch cut")
-    z = ctx.sqrt(-lam_m)
-
-    if form == "determinants":
-        t = -ctx.log(det_ratio_truncated("psi2", nu, A, z, eps_f, P))
-        t -= ctx.log(det_ratio_truncated("phi2", nu, A, z, eps_f, P))
-        t += ctx.log(det_ratio_truncated("psi0", nu, A, z, eps_f, P))
-        t += ctx.log(det_ratio_truncated("phi0", nu, A, z, eps_f, P))
-        t += ctx.log(det_ratio_full_cone("psi2", nu, A, z, P))
-        t += ctx.log(det_ratio_full_cone("phi2", nu, A, z, P))
-        t -= ctx.log(det_ratio_full_cone("psi0", nu, A, z, P))
-        t -= ctx.log(det_ratio_full_cone("phi0", nu, A, z, P))
-        return t.real if t.imag == 0 else t
-    if form != "bessel":
-        raise ValueError("form must be 'bessel' or 'determinants'")
-
-    w = nu_m * z
+    w = nu_m * ctx.sqrt(-lam_m)
     I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w)
     Ie, Ipe, Ke, Kpe = _bessel_pack(ctx, nu_m, w * eps_m)
     t = -2 * ctx.log(Ke) - ctx.log(1 - A_m ** 2 / nu_m ** 2) - 2 * ctx.log(nu_m)
@@ -397,14 +354,12 @@ def _boundary_functional(op: ModelOperator):
     The conditions become float coefficients (x0, sqrt(x0), beta + 1/2) once;
     the returned function takes real or complex mu, scalar or array, and gives
     (UL_J, UL_Y, UR_J, UR_Y).  On the full interval the left pair is
-    (None, None): only the Dirichlet branch at 0 is supported.
+    (None, None): the Dirichlet branch at 0 keeps J_nu alone.
     """
     nu = float(op.nu)
 
     def coefficients(side, kind, beta):
         if side == "0":
-            if kind != "D0":
-                raise NotImplementedError("full-interval oracle supports the Dirichlet branch at 0 only")
             return None
         x0 = float(op.eps) if side == "eps" else 1.0
         return x0, math.sqrt(x0), None if kind == "D" else float(Fraction(beta) + Fraction(1, 2))

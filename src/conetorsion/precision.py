@@ -118,56 +118,3 @@ def bessel_k_prime(nu, z, P: int = DEFAULT_DPS):
     _check_bessel_args(nu, z, ctx)
     v = -(ctx.besselk(nu - 1, z) + ctx.besselk(nu + 1, z)) / 2
     return v.real if z.imag == 0 else v
-
-
-def gamma_ln(x, P: int = DEFAULT_DPS):
-    """log Gamma(x) for real x > 0."""
-    ctx = context(P)
-    x = to_real(x, P, ctx)
-    if x <= 0:
-        raise DomainError(f"gamma_ln requires x > 0, got {x}")
-    return ctx.loggamma(x)
-
-
-def digamma(x, P: int = DEFAULT_DPS):
-    """psi(x) = Gamma'(x)/Gamma(x) for real x > 0."""
-    ctx = context(P)
-    x = to_real(x, P, ctx)
-    if x <= 0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    return ctx.digamma(x)
-
-
-def hurwitz_zeta(s, a, P: int = DEFAULT_DPS):
-    """Hurwitz zeta zeta_H(s, a), a > 0, s != 1 (Euler-Maclaurin continuation)."""
-    ctx = context(P)
-    a = to_real(a, P, ctx)
-    if a <= 0:
-        raise DomainError(f"hurwitz_zeta requires a > 0, got {a}")
-    s = to_complex(s, P, ctx)
-    if s == 1:
-        raise DomainError("hurwitz_zeta has a pole at s = 1")
-    v = ctx.zeta(s, a)
-    return v.real if s.imag == 0 else v
-
-
-def hurwitz_zeta_ds(s, a, P: int = DEFAULT_DPS):
-    """d/ds zeta_H(s, a)."""
-    ctx = context(P)
-    a = to_real(a, P, ctx)
-    if a <= 0:
-        raise DomainError(f"hurwitz_zeta_ds requires a > 0, got {a}")
-    s = to_complex(s, P, ctx)
-    if s == 1:
-        raise DomainError("hurwitz_zeta has a pole at s = 1")
-    v = ctx.zeta(s, a, 1)
-    return v.real if s.imag == 0 else v
-
-
-def euler_gamma(P: int = DEFAULT_DPS):
-    """Euler's constant."""
-    return +context(P).euler
-
-
-def pi(P: int = DEFAULT_DPS):
-    return +context(P).pi

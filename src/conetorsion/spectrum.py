@@ -76,10 +76,6 @@ class DegreeData:
     def delta(self) -> Fraction:
         return Fraction(1, 2) if 2 * self.k == self.n - 1 else Fraction(1)
 
-    @property
-    def c(self) -> Fraction:
-        return (-1) ** self.k * (Fraction(self.k) - Fraction(self.n, 2))
-
 
 @dataclass(frozen=True)
 class BaseManifold:
@@ -308,24 +304,14 @@ def nu_stream(M: BaseManifold, k: int, cutoff) -> list:
     nu is exact (Fraction) whenever eta + A_k^2 is a perfect rational square,
     else a float good to double precision (file- and torus-backed bases).
     """
-    dd = DegreeData(k, M.n)
-    A2 = dd.A ** 2
+    A2 = DegreeData(k, M.n).A ** 2
     out = []
     for ln in coclosed_spectrum(M, k, cutoff):
         s = ln.eta + A2
-        r = _exact_sqrt(s)
-        out.append((r if r is not None else math.sqrt(float(s)), ln.mult))
+        rn, rd = math.isqrt(s.numerator), math.isqrt(s.denominator)
+        exact = rn * rn == s.numerator and rd * rd == s.denominator
+        out.append((Fraction(rn, rd) if exact else math.sqrt(float(s)), ln.mult))
     return out
-
-
-def _exact_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -111,13 +111,12 @@ def residual_inner_sum(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
     for r in range(1, (M.n - 1) // 2 + 1):
         point = zeta.zeta_shifted_residue(M, k, r, P)
         approx = approx or not point.exact
-        res = ctx.mpf(point.residue) if not hasattr(point.residue, "_mpf_") else point.residue
         bracket = olver.residual_bracket(r, A)
         inner = ctx.mpf(0)
         for b, g in enumerate(bracket):
             if g:
                 inner += to_real(g, P, ctx) * ctx.digamma(b + r + ctx.mpf(1) / 2)
-        acc += res * inner
+        acc += point.residue * inner
     return acc, approx
 
 
@@ -162,24 +161,10 @@ def _check_eps(eps) -> Fraction:
 
 
 def _zk_prime(z0, z0p, inner, eps: Fraction, P: int):
-    """zeta_k'(0, eps) from the degree's zeta(0), zeta'(0) and residual inner sum."""
+    """zeta_k'(0, eps), the continued derivative of the degree's difference zeta:
+    -zeta'(0, ccl_k) - 2 log(eps) zeta(0, ccl_k) plus half the residual inner sum."""
     ctx = context(P)
     return -z0p - 2 * ctx.log(to_real(eps, P, ctx)) * z0 + inner / 2
-
-
-def zeta_k_prime_zero(M: BaseManifold, k: int, eps, P: int = DEFAULT_DPS):
-    """zeta_k'(0, eps): the continued derivative of the per-degree difference zeta.
-
-    Equals -zeta'(0, ccl_k) - 2 log(eps) zeta(0, ccl_k) plus half the
-    residue/digamma sum of that degree.
-    """
-    _require_odd(M)
-    if not 0 <= k <= (M.n - 1) // 2:
-        raise ValueError("k must lie in 0..(n-1)/2")
-    eps = _check_eps(eps)
-    z0, z0p = zeta.zeta_ccl_at_zero(M, k, P)
-    inner, _ = residual_inner_sum(M, k, P)
-    return _zk_prime(z0, z0p, inner, eps, P)
 
 
 def harmonic_term(M: BaseManifold, eps, P: int = DEFAULT_DPS):
@@ -188,15 +173,14 @@ def harmonic_term(M: BaseManifold, eps, P: int = DEFAULT_DPS):
     (1/2) log(eps) sum_k (-1)^k k b_k - (1/2) sum_{k<=(n-1)/2} (-1)^k b_k log(n-2k+1).
     """
     _require_odd(M)
-    eps = Fraction(eps)
     ctx = context(P)
-    s1 = sum((-1) ** k * k * betti(M, k) for k in range(M.n + 1))
-    acc = ctx.mpf(s1) / 2 * ctx.log(to_real(eps, P, ctx))
-    for k in range((M.n - 1) // 2 + 1):
-        b = betti(M, k)
-        if b:
-            acc -= ctx.mpf((-1) ** k) / 2 * b * ctx.log(M.n - 2 * k + 1)
-    return acc
+    log_eps = ctx.log(to_real(Fraction(eps), P, ctx))
+    return ctx.mpf(_betti_log_eps_weight(M)) / 2 * log_eps - top_term(M, P)
+
+
+def _betti_log_eps_weight(M: BaseManifold) -> int:
+    """sum_k (-1)^k k b_k, twice the log(eps) coefficient of the harmonic term."""
+    return sum((-1) ** k * k * betti(M, k) for k in range(M.n + 1))
 
 
 def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
@@ -226,7 +210,7 @@ def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
         logeps_spec += w * (-2) * z0
     halt = harmonic_term(M, eps, P)
     diff += halt
-    logeps_harm = ctx.mpf(sum((-1) ** k * k * betti(M, k) for k in range(M.n + 1))) / 2
+    logeps_harm = ctx.mpf(_betti_log_eps_weight(M)) / 2
     return EpsilonReport(
         eps=eps,
         zk_prime=tuple(zk),
@@ -307,16 +291,6 @@ def cone_torsion(M: BaseManifold, P: int = DEFAULT_DPS) -> TorsionBreakdown:
     if bd.total is None:
         raise ApproximateOnlyError(f"{M.name}: the cone torsion needs an exact continuation")
     return bd
-
-
-def product_metric_norm_shift(M: BaseManifold, harmonic_norm_log, P: int = DEFAULT_DPS):
-    """Torsion norm of the cone with a product metric near the boundary.
-
-    top - (1/2) log T(N) + caller-supplied log of the harmonic determinant
-    line norm (the anomaly term is removed by construction).
-    """
-    ctx = context(P)
-    return top_term(M, P) - zeta.base_torsion(M, P) / 2 + ctx.mpf(harmonic_norm_log)
 
 
 def torsion_report(M: BaseManifold, P: int = DEFAULT_DPS, eps_list=(Fraction(1, 2), Fraction(1, 4))) -> dict:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .olver import Polynomial
-from .precision import DEFAULT_DPS, context, to_real
+from .precision import DEFAULT_DPS, context, to_complex, to_real
 from .spectrum import (
     BaseManifold,
     DegreeData,
@@ -58,11 +58,10 @@ class ApproximateOnlyError(UnsupportedManifoldError):
 
 @dataclass(frozen=True)
 class MeromorphicPoint:
-    """Location, residue and finite part of a zeta function at a point."""
+    """Location and residue of a zeta function at a pole; exact=False for an estimate."""
 
     location: Fraction
     residue: object
-    finite_part: object
     exact: bool = True
 
 
@@ -76,9 +75,6 @@ class ZetaRepresentation:
     def __init__(self, weights: Polynomial, shift: Fraction):
         self.weights = weights
         self.shift = Fraction(shift)
-
-    def pole_locations(self):
-        return sorted(Fraction(p + 1) for (p,) in self.weights.coeffs)
 
     def residue_at(self, s0) -> Fraction:
         return self.weights.coeffs.get((Fraction(s0) - 1,), Fraction(0))
@@ -120,7 +116,8 @@ def shifted_zeta_representation(M: BaseManifold, k: int) -> ZetaRepresentation:
     """Exact Hurwitz representation of zeta_{k,N} (spheres only)."""
     if M.kind != "sphere":
         raise ApproximateOnlyError(
-            f"{M.name} has no exact shifted-zeta continuation; use approximate mode")
+            f"{M.name} has no exact shifted-zeta continuation; "
+            "direct_sum_with_tail gives partial sums with a tail bound for Re(s) > n")
     return ZetaRepresentation(sphere_multiplicity_polynomial(M, k), Fraction(M.n + 1, 2))
 
 
@@ -128,23 +125,13 @@ def shifted_zeta_representation(M: BaseManifold, k: int) -> ZetaRepresentation:
 # Evaluation
 
 
-def _to_mpc(s, ctx, P):
-    if isinstance(s, (int, Fraction)):
-        return ctx.mpc(to_real(Fraction(s), P, ctx))
-    return ctx.mpc(s)
+def zeta_shifted(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS):
+    """zeta_{k,N}(s) by the exact continuation (spheres only).
 
-
-def zeta_shifted(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS, cutoff: int = 2000):
-    """zeta_{k,N}(s).  Exact continuation on spheres; direct sum (Re s > n) otherwise."""
-    if M.kind == "sphere":
-        return shifted_zeta_representation(M, k).value(s, P)
-    ctx = context(P)
-    s_m = _to_mpc(s, ctx, P)
-    if s_m.real <= M.n:
-        raise ApproximateOnlyError(
-            f"{M.name}: only Re(s) > n = {M.n} is available without an exact continuation")
-    partial, tail = direct_sum_with_tail(M, k, s, P=P, cutoff=cutoff)
-    return partial
+    Other bases raise ApproximateOnlyError; direct_sum_with_tail is their
+    partial sum with its tail bound.
+    """
+    return shifted_zeta_representation(M, k).value(s, P)
 
 
 def direct_sum_with_tail(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS, cutoff: int = 200):
@@ -154,7 +141,7 @@ def direct_sum_with_tail(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS, cutof
     2 C nu^n with C fitted at the cutoff, which the growth checks enforce.
     """
     ctx = context(P)
-    s_m = _to_mpc(s, ctx, P)
+    s_m = to_complex(s, P, ctx)
     stream = nu_stream(M, k, cutoff)
     acc = ctx.mpc(0)
     count = 0
@@ -173,7 +160,7 @@ def direct_sum_with_tail(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS, cutof
 
 
 def zeta_shifted_residue(M: BaseManifold, k: int, r: int, P: int = DEFAULT_DPS) -> MeromorphicPoint:
-    """Residue (and finite part where exact) of zeta_{k,N} at s = 2r+1."""
+    """Residue of zeta_{k,N} at s = 2r+1 (estimated for file spectra)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     s0 = Fraction(2 * r + 1)
@@ -181,17 +168,14 @@ def zeta_shifted_residue(M: BaseManifold, k: int, r: int, P: int = DEFAULT_DPS) 
         raise ValueError(f"s = {s0} is beyond the pole range of an n = {M.n} base")
     ctx = context(P)
     if M.kind == "sphere":
-        rep = shifted_zeta_representation(M, k)
-        res = rep.residue_at(s0)
-        fp = rep.finite_part_at(s0, P)
-        return MeromorphicPoint(s0, to_real(res, P, ctx), fp, exact=True)
+        res = shifted_zeta_representation(M, k).residue_at(s0)
+        return MeromorphicPoint(s0, to_real(res, P, ctx))
     if M.kind == "torus":
-        res = _torus_residue(M, k, r, P)
-        return MeromorphicPoint(s0, res, None, exact=True)
+        return MeromorphicPoint(s0, _torus_residue(M, k, r, P))
     if s0 != M.n:
         raise ApproximateOnlyError(
             "file-backed spectra only support the leading residue at s = n (estimated)")
-    return MeromorphicPoint(s0, _estimated_leading_residue(M, k, P), None, exact=False)
+    return MeromorphicPoint(s0, _estimated_leading_residue(M, k, P), exact=False)
 
 
 def _torus_residue(M: BaseManifold, k: int, r: int, P: int):
@@ -227,11 +211,18 @@ def _estimated_leading_residue(M: BaseManifold, k: int, P: int):
     for frac in (1.0, 0.8, 0.64):
         cut = nu_max * frac
         cnt = sum(1 for v in nus if v <= cut)
-        ratios.append(cnt / cut ** M.n)
+        try:
+            ratios.append(cnt / cut ** M.n)
+        except (OverflowError, ZeroDivisionError):
+            ratios.append(math.inf)
     # two Richardson steps on the 1/nu correction of the counting constant
     c1 = (ratios[0] * 1.0 - ratios[1] * 0.8) / (1.0 - 0.8)
     c2 = (ratios[1] * 0.8 - ratios[2] * 0.64) / (0.8 - 0.64)
     C = 2 * c1 - c2
+    if not math.isfinite(C * M.n):
+        raise UnsupportedManifoldError(
+            f"{M.name}: degree {k}: frequencies up to nu = {nu_max:.3g} put the Weyl fit "
+            "of the leading residue outside the floating-point range")
     return ctx.mpf(C * M.n)
 
 
@@ -448,28 +439,3 @@ def shifted_residue_via_route_b(M: BaseManifold, k: int, r: int, P: int = DEFAUL
             break
         j += 1
     return 2 * acc
-
-
-def degree_report(M: BaseManifold, P: int = DEFAULT_DPS) -> dict:
-    """Per-degree zeta data as JSON-ready strings (exact mode: spheres)."""
-    ctx = context(P)
-    out = {"base": M.name, "n": M.n, "rank": M.rank, "precision": P, "degrees": []}
-    for k in range((M.n - 1) // 2 + 1):
-        entry = {"k": k, "A": str(M.degree(k).A), "delta": str(M.degree(k).delta)}
-        if M.kind == "sphere":
-            z0, z0p = zeta_ccl_at_zero(M, k, P)
-            entry["zeta0"] = ctx.nstr(z0, P)
-            entry["zeta0_prime"] = ctx.nstr(z0p, P)
-        residues = {}
-        for r in range(1, (M.n - 1) // 2 + 1):
-            try:
-                mp_pt = zeta_shifted_residue(M, k, r, P)
-            except (ApproximateOnlyError, ValueError):
-                continue
-            residues[str(2 * r + 1)] = {
-                "residue": ctx.nstr(ctx.mpf(mp_pt.residue), P),
-                "exact": mp_pt.exact,
-            }
-        entry["residues"] = residues
-        out["degrees"].append(entry)
-    return out

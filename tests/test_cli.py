@@ -109,11 +109,27 @@ def test_env_precision_default(monkeypatch):
     ("torsion", "--base", "sphere:1", "--eps", "1/2,1/0"),
     ("spectrum", "--base", "sphere:1", "--cutoff", "abc"),
     ("spectrum", "--base", "sphere:1", "--cutoff", "0"),
+    # the eps audit compares at least two distinct radii
+    ("torsion", "--base", "sphere:1", "--eps", "1/2"),
+    ("torsion", "--base", "sphere:1", "--eps", "1/2,1/2"),
 ])
 def test_malformed_numbers_are_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "dm", "--precision", "30"),
+    ("spectrum", "--base", "sphere:1", "--cutoff", "10", "--format", "table"),
+])
+def test_options_a_subcommand_does_not_read_are_errors(capsys, argv):
+    # exit 1 like every usage error: exit 2 means a failed check
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and argv[-2] in err
     assert "Traceback" not in err
 
 
@@ -152,3 +168,23 @@ def test_malformed_spectrum_files_are_errors(capsys, tmp_path, body, lineno):
     assert "Traceback" not in err
     assert SPECTRUM_FILE_MESSAGES.get(body, "") in err
 
+
+
+def test_tiny_frequencies_of_a_whole_degree_are_an_error(capsys, tmp_path):
+    path = tmp_path / "tiny.spec"
+    path.write_text("dim=3 rank=1\nbetti=1,0,0,1\n0,3,4\n1,1e-250,4\n")
+    code, out, err = run(capsys, "torsion", "--spectrum-file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "degree 1" in err
+    assert "Traceback" not in err
+
+
+def test_one_tiny_frequency_among_normal_lines_is_fitted(capsys, tmp_path):
+    path = tmp_path / "mixed.spec"
+    path.write_text("dim=3 rank=1\nbetti=1,0,0,1\n0,3,4\n0,8,9\n1,1e-250,2\n1,3,4\n1,15,7\n")
+    code, out, _ = run(capsys, "torsion", "--spectrum-file", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["approximate"] is True
+    assert data["breakdown"]["res_spectral"] is not None

@@ -23,7 +23,7 @@ from conetorsion.operators import (
     t_function,
     zeta_det_oracle,
 )
-from conetorsion.precision import DomainError, context
+from conetorsion.precision import DomainError, context, to_complex
 
 F = Fraction
 
@@ -85,13 +85,29 @@ def test_truncated_ratio_guards():
         det_ratio_truncated("psi2", F(3, 2), F(1), 1, F(3, 2), 30)
 
 
+def _t_from_determinant_ratios(k, n, nu, eps, lam, P):
+    """t(lam) assembled from the eight determinant ratios at z = sqrt(-lam)."""
+    ctx = context(P)
+    A = F(n - 1, 2) - k
+    z = ctx.sqrt(-to_complex(lam, P, ctx))
+    t = -ctx.log(det_ratio_truncated("psi2", nu, A, z, eps, P))
+    t -= ctx.log(det_ratio_truncated("phi2", nu, A, z, eps, P))
+    t += ctx.log(det_ratio_truncated("psi0", nu, A, z, eps, P))
+    t += ctx.log(det_ratio_truncated("phi0", nu, A, z, eps, P))
+    t += ctx.log(det_ratio_full_cone("psi2", nu, A, z, P))
+    t += ctx.log(det_ratio_full_cone("phi2", nu, A, z, P))
+    t -= ctx.log(det_ratio_full_cone("psi0", nu, A, z, P))
+    t -= ctx.log(det_ratio_full_cone("phi0", nu, A, z, P))
+    return t
+
+
 def test_t_function_forms_agree():
     P = 40
     ctx = context(P)
     for lam in (-1, (-2, 1), F(-1, 100)):
         lam_v = ctx.mpc(*lam) if isinstance(lam, tuple) else lam
-        a = t_function(0, 3, F(5, 2), F(1, 3), lam_v, P, form="bessel")
-        b = t_function(0, 3, F(5, 2), F(1, 3), lam_v, P, form="determinants")
+        a = t_function(0, 3, F(5, 2), F(1, 3), lam_v, P)
+        b = _t_from_determinant_ratios(0, 3, F(5, 2), F(1, 3), lam_v, P)
         assert abs(a - b) < ctx.mpf(10) ** -20
 
 
@@ -121,9 +137,8 @@ def test_ab_large_argument_constant():
 
 
 def test_eigenvalues_oracle_harmonic_dirichlet():
-    # Dirichlet at both ends via the h1-type right-N replaced: use psi2 with A
-    # chosen so the right condition is not Dirichlet; here test h-operator bc.
-    op = ModelOperator("h1", 1.0, F(1), F(1, 3))
+    # Dirichlet at eps and the Robin condition N(3/2) at 1 (psi2 with A = 2)
+    op = ModelOperator("psi2", 1.0, F(2), F(1, 3))
     lam = eigenvalues_oracle(op, 120)
     assert all(l2 > l1 for l1, l2 in zip(lam, lam[1:]))
     # Weyl law within 5 percent by i = 100
@@ -207,16 +222,6 @@ def test_boundary_condition_table():
     assert right == ("1", "N", F(1, 2))  # beta = A - 1/2
     op0 = ModelOperator("psi0", 1.5, F(1), F(1, 2))
     assert op0.boundary_conditions()[0] == ("eps", "N", F(-3, 2))  # beta = -A - 1/2
-
-
-def test_determinant_ratio_wrapper():
-    from conetorsion.operators import DeterminantRatio, determinant_ratio
-    op = ModelOperator("psi2", 1.5, F(1, 2), F(1, 3))
-    r = determinant_ratio(op, F(1, 2), 30)
-    assert isinstance(r, DeterminantRatio) and r.operator is op
-    assert determinant_ratio(op, 0, 30).value == 1
-    full = ModelOperator("psi0", 1.5, F(1, 2), None)
-    assert determinant_ratio(full, 0, 30).value == 1
 
 
 def _two_sided_condition(op, mu):

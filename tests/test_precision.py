@@ -14,11 +14,6 @@ from conetorsion.precision import (
     bessel_k,
     bessel_k_prime,
     context,
-    digamma,
-    euler_gamma,
-    gamma_ln,
-    hurwitz_zeta,
-    hurwitz_zeta_ds,
 )
 
 
@@ -64,22 +59,27 @@ def test_bessel_series_oracle_doubled_precision():
     assert abs(got - series) / abs(series) < mp.mpf(10) ** (5 - P)
 
 
+# The zeta and torsion layers call digamma and Hurwitz zeta (and its
+# s-derivative) directly on the contexts that context(P) returns.
+
+
 def test_digamma_classical_values():
     P = 50
     ctx = context(P)
-    g = euler_gamma(P)
-    assert abs(digamma(Fraction(1, 2), P) - (-g - 2 * ctx.log(2))) < ctx.mpf("1e-55")
-    assert abs(digamma(1, P) + g) < ctx.mpf("1e-55")
+    g = ctx.euler
+    half = precision.to_real(Fraction(1, 2), P, ctx)
+    assert abs(ctx.digamma(half) - (-g - 2 * ctx.log(2))) < ctx.mpf("1e-55")
+    assert abs(ctx.digamma(1) + g) < ctx.mpf("1e-55")
     want = -g - 2 * ctx.log(2) + 2 * (1 + ctx.mpf(1) / 3 + ctx.mpf(1) / 5)
-    assert abs(digamma(Fraction(7, 2), P) - want) < ctx.mpf("1e-54")
+    assert abs(ctx.digamma(3 + half) - want) < ctx.mpf("1e-54")
 
 
 def test_hurwitz_values():
     P = 50
     ctx = context(P)
-    assert hurwitz_zeta(0, Fraction(1, 2), P) == 0
-    assert abs(hurwitz_zeta(2, 1, P) - ctx.pi ** 2 / 6) < ctx.mpf("1e-55")
-    assert abs(hurwitz_zeta_ds(0, 1, P) + ctx.log(2 * ctx.pi) / 2) < ctx.mpf("1e-55")
+    assert ctx.zeta(0, precision.to_real(Fraction(1, 2), P, ctx)) == 0
+    assert abs(ctx.zeta(2, 1) - ctx.pi ** 2 / 6) < ctx.mpf("1e-55")
+    assert abs(ctx.zeta(0, 1, 1) + ctx.log(2 * ctx.pi) / 2) < ctx.mpf("1e-55")
 
 
 @pytest.mark.parametrize("s,a", [(2, Fraction(1, 3)), (Fraction(-3, 2), 2), ((2, 1), Fraction(3, 4))])
@@ -88,7 +88,7 @@ def test_hurwitz_recurrence(s, a):
     ctx = context(P)
     a_m = precision.to_real(a, P, ctx)
     s_m = ctx.mpc(*s) if isinstance(s, tuple) else precision.to_real(s, P, ctx)
-    lhs = hurwitz_zeta(s, a, P) - hurwitz_zeta(s, Fraction(a) + 1, P)
+    lhs = ctx.zeta(s_m, a_m) - ctx.zeta(s_m, a_m + 1)
     assert abs(lhs - a_m ** (-s_m)) < ctx.mpf(10) ** (5 - P)
 
 
@@ -97,9 +97,11 @@ def test_monotone_precision():
     pairs = [
         bessel_i(Fraction(7, 2), (2, 1), P), bessel_i(Fraction(7, 2), (2, 1), P + 10),
         bessel_k(3, 5, P), bessel_k(3, 5, P + 10),
-        hurwitz_zeta(Fraction(5, 2), Fraction(1, 3), P),
-        hurwitz_zeta(Fraction(5, 2), Fraction(1, 3), P + 10),
     ]
+    for Q in (P, P + 10):
+        ctx = context(Q)
+        pairs.append(ctx.zeta(precision.to_real(Fraction(5, 2), Q, ctx),
+                              precision.to_real(Fraction(1, 3), Q, ctx)))
     for lo, hi in zip(pairs[::2], pairs[1::2]):
         assert abs(mp.mpmathify(lo) - mp.mpmathify(hi)) <= abs(mp.mpmathify(hi)) * mp.mpf(10) ** (5 - P)
 
@@ -111,11 +113,5 @@ def test_domain_errors():
         bessel_k(1, 0, 30)
     with pytest.raises(DomainError):
         bessel_i(1, (-2, 0), 30)
-    with pytest.raises(DomainError):
-        digamma(0, 30)
-    with pytest.raises(DomainError):
-        gamma_ln(Fraction(-1, 2), 30)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(1, 1, 30)
     with pytest.raises(PrecisionError):
         bessel_i(1, 1, 10)

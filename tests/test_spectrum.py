@@ -95,7 +95,7 @@ def test_weyl_growth(M):
 
 def test_degree_data():
     dd = DegreeData(0, 3)
-    assert dd.A == 1 and dd.delta == 1 and dd.c == F(-3, 2)
+    assert dd.A == 1 and dd.delta == 1
     assert DegreeData(1, 3).A == 0 and DegreeData(1, 3).delta == F(1, 2)
     for n in (3, 5, 7):
         for k in range(n):

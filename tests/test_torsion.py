@@ -12,12 +12,10 @@ from conetorsion.spectrum import sphere, torus, write_spectrum_file, read_spectr
 from conetorsion.torsion import (
     cone_torsion,
     harmonic_term,
-    product_metric_norm_shift,
     top_term,
     torsion_difference,
     torsion_report,
     truncated_cone_torsion,
-    zeta_k_prime_zero,
 )
 from conetorsion.zeta import ApproximateOnlyError
 
@@ -41,7 +39,7 @@ def test_zeta_k_prime_zero_circle():
     for eps in (F(1, 2), F(1, 4)):
         z0, z0p = zeta.zeta_ccl_at_zero(S1, 0, P)
         want = -z0p - 2 * ctx.log(ctx.mpf(eps.numerator) / eps.denominator) * z0
-        assert abs(zeta_k_prime_zero(S1, 0, eps, P) - want) == 0
+        assert abs(torsion_difference(S1, eps, P).zk_prime[0] - want) == 0
 
 
 def test_zeta_k_prime_zero_logeps_slope():
@@ -49,8 +47,8 @@ def test_zeta_k_prime_zero_logeps_slope():
     P = 40
     ctx = context(P)
     for M, k in ((S3, 0), (S3, 1)):
-        v1 = zeta_k_prime_zero(M, k, F(1, 2), P)
-        v2 = zeta_k_prime_zero(M, k, F(1, 4), P)
+        v1 = torsion_difference(M, F(1, 2), P).zk_prime[k]
+        v2 = torsion_difference(M, F(1, 4), P).zk_prime[k]
         z0, _ = zeta.zeta_ccl_at_zero(M, k, P)
         slope = (v1 - v2) / (ctx.log(ctx.mpf(1) / 2) - ctx.log(ctx.mpf(1) / 4))
         assert abs(slope + 2 * z0) < ctx.mpf(10) ** -35
@@ -149,15 +147,6 @@ def test_cone_equals_truncated_minus_difference(M):
     spec, _anom, _gap, _ = truncated_cone_torsion(M, P)
     diff = torsion_difference(M, F(1, 2), P).difference
     assert abs(bd.total - (spec - diff)) < mp.mpf(10) ** -40
-
-
-def test_product_metric_norm_shift():
-    P = 40
-    bd = cone_torsion(S1, P)
-    v0 = product_metric_norm_shift(S1, 0, P)
-    assert abs(v0 - (bd.top + bd.tors)) == 0
-    v1 = product_metric_norm_shift(S1, mp.mpf("0.25"), P)
-    assert abs((v1 - bd.total) - (-bd.res_anomaly + mp.mpf("0.25"))) < mp.mpf(10) ** -39
 
 
 def test_cone_torsion_torus_unsupported():

@@ -57,11 +57,12 @@ def test_residue_numerical_limit_oracle():
     P = 50
     ctx = context(P)
     point = zeta_shifted_residue(S3, 0, 1, P)
+    finite_part = shifted_zeta_representation(S3, 0).finite_part_at(3, P)
     for j in (8, 12):
         s = 3 + ctx.mpf(10) ** -j
         val = zeta_shifted(S3, 0, s, P)
         assert abs((s - 3) * val - point.residue) < ctx.mpf(10) ** (-j + 1)
-        assert abs((val - point.residue / (s - 3)) - point.finite_part) < ctx.mpf(10) ** (-j + 2)
+        assert abs((val - point.residue / (s - 3)) - finite_part) < ctx.mpf(10) ** (-j + 2)
 
 
 def test_out_of_range_residue():
@@ -75,7 +76,8 @@ def test_pole_parity():
         for s in (0, 2):
             zeta_shifted(M, k, s, 30)
         rep = shifted_zeta_representation(M, k)
-        assert all(loc % 2 == 1 for loc in rep.pole_locations())
+        # zeta_H(s - p, x0) has its pole at s = p + 1
+        assert all((p + 1) % 2 == 1 for (p,) in rep.weights.coeffs)
 
 
 @pytest.mark.parametrize("M,k", [(S3, 0), (S3, 1), (S5, 0), (S5, 1), (S5, 2)])
@@ -209,10 +211,14 @@ def test_torus_residues_exact():
 
 def test_torus_values_need_large_re():
     T3 = torus(3)
-    v = zeta_shifted(T3, 0, 10, 40, cutoff=60)
-    assert v > 0
+    partial, tail = direct_sum_with_tail(T3, 0, 10, P=40, cutoff=60)
+    assert partial > 0 and 0 < tail < partial
     with pytest.raises(ApproximateOnlyError):
-        zeta_shifted(T3, 0, 2, 40)
+        direct_sum_with_tail(T3, 0, 2, P=40, cutoff=60)
+    # no exact continuation: zeta_shifted refuses the torus at any s
+    for s in (10, 2):
+        with pytest.raises(ApproximateOnlyError, match="direct_sum_with_tail"):
+            zeta_shifted(T3, 0, s, 40)
 
 
 def test_file_leading_residue_estimate(tmp_path):
@@ -230,12 +236,3 @@ def test_file_subleading_residue_unavailable(tmp_path):
     M = read_spectrum_file(path)
     with pytest.raises(ApproximateOnlyError):
         zeta_shifted_residue(M, 0, 1, 30)  # s = 3 < n = 5: only the leading pole is estimable
-
-
-def test_degree_report_structure():
-    import json
-    rep = zeta.degree_report(S3, 30)
-    payload = json.loads(json.dumps(rep, sort_keys=True))
-    assert payload["base"] == "sphere:3" and len(payload["degrees"]) == 2
-    d0 = payload["degrees"][0]
-    assert d0["A"] == "1" and "zeta0" in d0 and d0["residues"]["3"]["exact"] is True
