@@ -60,6 +60,8 @@ def parse_base(spec: str) -> spectrum.BaseManifold:
     parts = spec.split(":")
     kind = parts[0]
     try:
+        if kind in ("sphere", "torus") and len(parts) > (3 if kind == "sphere" else 4):
+            raise ValueError(f"too many fields for {kind}")
         if kind == "sphere":
             n = int(parts[1])
             rank = int(parts[2]) if len(parts) > 2 else 1
@@ -69,8 +71,9 @@ def parse_base(spec: str) -> spectrum.BaseManifold:
             rank = int(parts[2]) if len(parts) > 2 else 1
             scale = Fraction(parts[3]) if len(parts) > 3 else Fraction(1)
             return spectrum.torus(n, rank, scale)
-    except (IndexError, ValueError) as exc:
-        raise UnsupportedManifoldError(f"cannot parse base {spec!r}: {exc}") from exc
+    except (IndexError, ValueError, ZeroDivisionError) as exc:
+        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise UnsupportedManifoldError(f"cannot parse base {spec!r}: {why}") from exc
     raise UnsupportedManifoldError(f"unknown base family {kind!r} (use sphere:<n> or torus:<n>)")
 
 

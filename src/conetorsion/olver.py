@@ -34,7 +34,7 @@ import threading
 from fractions import Fraction
 from operator import add
 
-from .precision import DEFAULT_DPS, DomainError, context, to_complex, to_real
+from .precision import to_real
 
 
 class StructureError(RuntimeError):
@@ -283,24 +283,3 @@ def large_nu_term(r: int, A) -> Polynomial:
     return (d_poly(r).scale(-2) + m.substitute(1, A) + m.substitute(1, -A)
             + Polynomial({(0,): (A ** r + (-A) ** r) / r}))
 
-
-def f_r_epsilon(r: int, A, eps, lam, P: int = DEFAULT_DPS):
-    """Evaluate 2 D_{2r+1} - M_{2r+1}(.,-A) - M_{2r+1}(.,A) at t = (1 - eps^2 lam)^(-1/2).
-
-    This is the odd-index subtraction polynomial of the regularized trace,
-    -large_nu_term(2r+1, A) (its shift constant vanishes at odd index); it
-    vanishes identically at lam = 0 and decays like (-lam)^(-1/2) at infinity.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    ctx = context(P)
-    eps_m = to_real(eps, P, ctx)
-    if not 0 < eps_m < 1:
-        raise DomainError(f"eps must lie in (0,1), got {eps}")
-    lam_m = to_complex(lam, P, ctx)
-    w = 1 - eps_m ** 2 * lam_m
-    if w.imag == 0 and w.real <= 0:
-        raise DomainError(f"1 - eps^2*lam = {w} lies on the branch cut")
-    t = 1 / ctx.sqrt(w)
-    acc = large_nu_term(2 * r + 1, A).scale(-1).evaluate(lambda e: t ** e, P, ctx)
-    return acc.real if acc.imag == 0 else acc

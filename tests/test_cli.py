@@ -112,12 +112,19 @@ def test_env_precision_default(monkeypatch):
     # the eps audit compares at least two distinct radii
     ("torsion", "--base", "sphere:1", "--eps", "1/2"),
     ("torsion", "--base", "sphere:1", "--eps", "1/2,1/2"),
+    # a zero denominator, and a field the base family does not have
+    ("torsion", "--base", "torus:3:1:1/0"),
+    ("torsion", "--base", "sphere:3:1:5"),
+    ("torsion", "--base", "torus:3:1:1:9"),
 ])
 def test_malformed_numbers_are_errors(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if argv[-2] == "--base":  # the malformed value is the base itself
+        assert out == ""
+        assert err.startswith(f"error: cannot parse base {argv[-1]!r}")
 
 
 @pytest.mark.parametrize("argv", [

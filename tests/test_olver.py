@@ -15,7 +15,6 @@ from conetorsion import olver
 from conetorsion.olver import (
     Polynomial,
     d_poly,
-    f_r_epsilon,
     large_nu_term,
     m_poly,
     residual_bracket,
@@ -120,41 +119,11 @@ def test_odd_sum_rule(A):
         assert sum(residual_bracket(r, A)) == 0
 
 
-def test_f_r_epsilon_vanishes_at_zero():
-    for (r, A, eps) in [(1, F(0), F(1, 2)), (1, F(1), F(1, 3)), (2, F(2), F(1, 4))]:
-        assert abs(f_r_epsilon(r, A, eps, 0, 30)) < mp.mpf("1e-30")
-
-
-def test_f_r_epsilon_direct_polynomial():
-    # A = 0, r = 1, eps = 1/2, lam = -1: 2 D_3 - 2 M_3(., 0) at t = (5/4)^(-1/2)
-    got = f_r_epsilon(1, F(0), F(1, 2), -1, 40)
-    mp.mp.dps = 50
-    t = 1 / mp.sqrt(mp.mpf(5) / 4)
-    poly = d_poly(3).scale(2) + m_poly(3).substitute(1, 0).scale(-2)
-    want = sum(mp.mpf(c.numerator) / c.denominator * t ** e for (e,), c in poly.coeffs.items())
-    assert abs(got - want) < mp.mpf("1e-40")
-
-
-def test_f_r_epsilon_large_argument_decay():
-    vals = []
-    for lam in (-1e4, -1e8):
-        v = abs(f_r_epsilon(1, F(1), F(1, 3), lam, 30)) * mp.sqrt(-mp.mpf(lam))
-        vals.append(v)
-    # O((-lam)^(-1/2)): the sqrt-weighted values stay bounded and comparable
-    assert vals[1] < 2 * vals[0]
-
-
 def test_large_nu_term_constant_part():
     # the shift contributes (A^r + (-A)^r)/r to the constant coefficient
     p = large_nu_term(2, F(2))
     assert p.coeffs[(0,)] == F(2 ** 2 + 2 ** 2, 2)
     assert (0,) not in large_nu_term(1, F(2)).coeffs
-
-
-def test_branch_guard():
-    from conetorsion.precision import DomainError
-    with pytest.raises(DomainError):
-        f_r_epsilon(1, F(0), F(1, 2), 5, 30)  # 1 - eps^2 lam < 0
 
 
 @pytest.mark.parametrize("nvars", [1, 2])
