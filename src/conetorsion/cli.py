@@ -109,7 +109,8 @@ def _breakdown_table(report: dict) -> str:
 
 
 def cmd_torsion(args) -> int:
-    if args.precision < 20:
+    precision = _default_precision() if args.precision is None else args.precision
+    if precision < 20:
         raise UsageError("precision must be at least 20 digits")
     M = _load_base(args)
     eps_list = (tuple(_fraction_in("--eps", e, 0, 1) for e in args.eps.split(","))
@@ -117,7 +118,7 @@ def cmd_torsion(args) -> int:
     if len(set(eps_list)) < 2:
         # the audit compares the torsion difference across radii
         raise UsageError(f"--eps needs at least two distinct radii, got {args.eps}")
-    report = torsion.torsion_report(M, args.precision, eps_list)
+    report = torsion.torsion_report(M, precision, eps_list)
     if args.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     else:
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--spectrum-file", help="path to a spectrum file")
 
     p_t = sub.add_parser("torsion", parents=[source, out], help="full torsion breakdown report")
-    p_t.add_argument("--precision", type=int, default=_default_precision(),
+    p_t.add_argument("--precision", type=int,
                      help="working precision in decimal digits (>= 20)")
     p_t.add_argument("--format", choices=("json", "table"), default="json")
     p_t.add_argument("--eps", help="comma-separated truncation radii for the audits, e.g. 1/2,1/4")

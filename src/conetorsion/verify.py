@@ -221,10 +221,13 @@ def check_scaling_invariance():
     failures = []
     for n, kappa in ((3, Fraction(1)), (5, Fraction(1)), (3, Fraction(0))):
         cm = CollarMetric(n, kappa, Fraction(-2))
-        base = b_class(cm).coefficient
-        for s in (Fraction(2), Fraction(1, 3), Fraction(10)):
-            if b_class(scaled(cm, s)).coefficient != base:
-                failures.append((n, str(kappa), str(s)))
+        try:
+            base = b_class(cm).coefficient
+            for s in (Fraction(2), Fraction(1, 3), Fraction(10)):
+                if b_class(scaled(cm, s)).coefficient != base:
+                    failures.append((n, str(kappa), str(s)))
+        except ArithmeticError as exc:  # a scale half power came out odd
+            failures.append((n, str(kappa), str(exc)))
     return _result("scaling", not failures, len(failures), 0, {"failures": failures})
 
 

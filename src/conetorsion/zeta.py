@@ -11,13 +11,10 @@ zetas: that reduction (not heat-trace coefficients, and not numerical Mellin
 transforms) is the continuation vehicle here, making residues and values at
 s = 0 exact to working precision.
 
-Two independent continuations are implemented for cross-validation:
-
-* route A: the Hurwitz representation of zeta_{k,N} in the variable nu;
-* route B: the binomial re-expansion of zeta(s, Delta_ccl) around the
-  factorization eta = w (w + 2 A_k), w = j + k, which carries a different
-  Hurwitz family.  Their residues and values must agree, which is one of
-  the module's invariant tests.
+The tests check it against identities that share no code with it:
+zeta(0, ccl_k) = -sum_{j<=k} (-1)^(k-j) b_j (no constant heat coefficient
+on a closed odd-dimensional manifold), Weyl's law for the leading residue,
+and Cheeger-Mueller for the base torsion, log T(S^n) = rank log vol(S^n).
 
 Flat tori carry exact residues (short-time heat kernel of the lattice sum
 is a pure power up to exponentially small terms) but no exact continuation
@@ -96,20 +93,6 @@ class ZetaRepresentation:
                 raise PoleError(Fraction(p + 1), self.residue_at(Fraction(p + 1)))
             acc += to_real(c, P, ctx) * ctx.zeta(arg, a)
         return acc.real if acc.imag == 0 else acc
-
-    def finite_part_at(self, s0, P: int = DEFAULT_DPS):
-        """Constant term of the Laurent expansion at a (potential) pole s0."""
-        ctx = context(P)
-        s0 = Fraction(s0)
-        a = to_real(self.shift, P, ctx)
-        acc = ctx.mpf(0)
-        for (p,), c in sorted(self.weights.coeffs.items()):
-            cm = to_real(c, P, ctx)
-            if Fraction(p + 1) == s0:
-                acc += -cm * ctx.digamma(a)
-            else:
-                acc += cm * ctx.zeta(to_real(s0 - p, P, ctx), a)
-        return acc
 
 
 def shifted_zeta_representation(M: BaseManifold, k: int) -> ZetaRepresentation:
@@ -288,121 +271,6 @@ def base_torsion(M: BaseManifold, P: int = DEFAULT_DPS, zeta_primes=None):
     return -acc
 
 
-def base_torsion_from_form_spectra(M: BaseManifold, P: int = DEFAULT_DPS):
-    """Independent route: (1/2) sum_k (-1)^k k zeta'(0, Delta_k) over all form degrees.
-
-    Uses the full form Laplacian per degree, whose nonzero spectrum is the
-    union of the coclosed spectra in degrees k and k-1.  Agreement with
-    base_torsion is the duality-combinatorics check.
-    """
-    if M.kind != "sphere":
-        raise ApproximateOnlyError(f"base torsion requires an exact continuation; {M.name} has none")
-    ctx = context(P)
-    zccl = {k: zeta_ccl_at_zero(M, k, P)[1] for k in range(M.n + 1)}
-    acc = ctx.mpf(0)
-    for k in range(M.n + 1):
-        full = zccl[k] + (zccl[k - 1] if k >= 1 else ctx.mpf(0))
-        acc += (-1) ** k * k * full
-    return acc / 2
-
-
-# ---------------------------------------------------------------------------
-# Route B: the coclosed zeta function through the w (w + 2A) factorization
-
-
-class CoclosedZetaB:
-    """Second continuation of zeta(s, Delta_ccl) for cross-validation (spheres).
-
-    Splits off the first few eigenvalues explicitly (entire in s) and expands
-    the tail binomially around w = j + k, giving Hurwitz terms at shifts
-    1 + k + j0 with integer power offsets; residues live at half-integers
-    and are exact rationals.
-    """
-
-    def __init__(self, M: BaseManifold, k: int):
-        if M.kind != "sphere":
-            raise ApproximateOnlyError("route-B continuation exists for spheres only")
-        self.M = M
-        self.k = k
-        self.n = M.n
-        self.A = DegreeData(k, M.n).A
-        twoA = 2 * self.A
-        # explicit part: j = 1 .. j0 with j0 chosen so |2A/w| <= 1/2 afterwards
-        self.j0 = max(0, int(2 * twoA) - k + 1) if twoA > 0 else 0
-        self.w0 = Fraction(k + self.j0 + 1)
-        # multiplicity polynomial in w = j + k (exact)
-        poly_x = sphere_multiplicity_polynomial(M, k)  # in x = j + (n-1)/2
-        # convert: x = w + A  (since x = j + (n-1)/2 = (j+k) + A)
-        self.poly_w = _shift_polynomial_variable(poly_x, self.A)
-
-    def explicit_lines(self):
-        from .spectrum import sphere_multiplicity
-        for j in range(1, self.j0 + 1):
-            eta = Fraction((j + self.k) * (j + self.n - 1 - self.k))
-            yield eta, self.M.rank * sphere_multiplicity(self.n, self.k, j)
-
-    def residue(self, sigma, P: int = DEFAULT_DPS) -> Fraction:
-        """Exact residue of zeta(., Delta_ccl) at sigma (half-integers)."""
-        sigma = Fraction(sigma)
-        twoA = 2 * self.A
-        res = Fraction(0)
-        for (q,), b in self.poly_w.coeffs.items():
-            i = 1 + q - 2 * sigma
-            if i.denominator != 1 or i < 0:
-                continue
-            i = int(i)
-            res += _binom_frac(-sigma, i) * twoA ** i * b / 2
-        return res
-
-    def value(self, sigma, P: int = DEFAULT_DPS):
-        """Numeric continuation value, symmetrized across integer pole-candidates."""
-        ctx = context(P)
-        cands = self._pole_candidates()
-        sig_f = Fraction(sigma) if isinstance(sigma, (int, Fraction)) else None
-        if sig_f is not None and sig_f in cands and self.residue(sig_f, P) == 0:
-            # the individual Hurwitz terms blow up at integer pole candidates
-            # while their residues cancel; average the two one-sided values.
-            # h balances the O(h^2) symmetrization error against roundoff of
-            # the O(1/h) intermediate terms.
-            h = ctx.mpf(10) ** (-(P + 10) // 3)
-            vp = self._value_off_pole(to_real(sig_f, P, ctx) + h, ctx, P)
-            vm = self._value_off_pole(to_real(sig_f, P, ctx) - h, ctx, P)
-            return (vp + vm) / 2
-        s_m = to_real(sigma, P, ctx) if isinstance(sigma, (int, Fraction)) else ctx.mpf(sigma)
-        return self._value_off_pole(s_m, ctx, P)
-
-    def _pole_candidates(self):
-        out = set()
-        for (q,) in self.poly_w.coeffs:
-            for i in range(0, q + 2):
-                loc = Fraction(1 + q - i, 2)
-                out.add(loc)
-        return out
-
-    def _value_off_pole(self, s_m, ctx, P):
-        acc = ctx.mpf(0)
-        for eta, mult in self.explicit_lines():
-            acc += mult * to_real(eta, P, ctx) ** (-s_m)
-        twoA = to_real(2 * self.A, P, ctx)
-        a = to_real(self.w0, P, ctx)
-        tol = ctx.mpf(10) ** (-(P + 5))
-        i = 0
-        while True:
-            gi = ctx.mpf(0)
-            for (q,), b in sorted(self.poly_w.coeffs.items()):
-                gi += to_real(b, P, ctx) * ctx.zeta(2 * s_m + i - q, a)
-            term = ctx.binomial(-s_m, i) * twoA ** i * gi
-            acc += term
-            if i > 3 and abs(term) < tol:
-                break
-            if i > 60 * max(1, P // 10):
-                raise RuntimeError("route-B binomial series failed to converge")
-            if twoA == 0:
-                break
-            i += 1
-        return acc
-
-
 def _shift_polynomial_variable(poly: Polynomial, shift: Fraction) -> Polynomial:
     """Rewrite sum a_p x^p with x = w + shift as a polynomial in w (exact)."""
     out = {}
@@ -410,32 +278,3 @@ def _shift_polynomial_variable(poly: Polynomial, shift: Fraction) -> Polynomial:
         for q in range(p + 1):
             out[(q,)] = out.get((q,), 0) + c * math.comb(p, q) * shift ** (p - q)
     return Polynomial(out, 1)
-
-
-def _binom_frac(top: Fraction, i: int) -> Fraction:
-    acc = Fraction(1)
-    for m in range(i):
-        acc *= (top - m) / (m + 1)
-    return acc
-
-
-def shifted_residue_via_route_b(M: BaseManifold, k: int, r: int, P: int = DEFAULT_DPS):
-    """Residue of zeta_{k,N} at 2r+1 through the route-B expansion.
-
-    Uses zeta_{k,N}(2s) = sum_j C(-s, j) A^(2j) zeta(s + j, Delta_ccl), so the
-    residue at s0 = r + 1/2 picks up route-B residues at s0 + j.
-    """
-    zb = CoclosedZetaB(M, k)
-    s0 = Fraction(2 * r + 1, 2)
-    A2 = DegreeData(k, M.n).A ** 2
-    acc = Fraction(0)
-    maxq = max((q for (q,) in zb.poly_w.coeffs), default=0)
-    j = 0
-    while True:
-        rho = zb.residue(s0 + j)
-        acc += _binom_frac(-s0, j) * A2 ** j * rho
-        # beyond this point every i = 1 + q - 2 sigma is negative
-        if 2 * (s0 + j) > maxq + 1:
-            break
-        j += 1
-    return 2 * acc

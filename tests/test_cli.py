@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conetorsion import cli, verify
+from conetorsion import berezin, cli, verify
 from conetorsion.cli import main, parse_base
 from conetorsion.spectrum import UnsupportedManifoldError
 
@@ -97,11 +97,42 @@ def test_verify_suite_lines(capsys):
     assert code == 0
 
 
-def test_env_precision_default(monkeypatch):
+def test_env_precision_default(monkeypatch, capsys):
     monkeypatch.setenv(cli.DEFAULT_PRECISION_ENV, "33")
-    ap = cli.build_parser()
-    args = ap.parse_args(["torsion", "--base", "sphere:1"])
-    assert args.precision == 33
+    code, out, _ = run(capsys, "torsion", "--base", "sphere:1")
+    assert code == 0 and json.loads(out)["precision"] == 33
+    code, out, _ = run(capsys, "torsion", "--base", "sphere:1", "--precision", "25")
+    assert code == 0 and json.loads(out)["precision"] == 25
+
+
+def test_bad_env_precision_is_an_error_of_torsion_only(monkeypatch, capsys):
+    monkeypatch.setenv(cli.DEFAULT_PRECISION_ENV, "abc")
+    code, out, err = run(capsys, "verify", "--suite", "dm")
+    assert code == 0 and json.loads(out)["passed"] is True and err == ""
+    code, _, err = run(capsys, "spectrum", "--base", "sphere:1", "--cutoff", "3")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "torsion", "--base", "sphere:1")
+    assert code == 1 and out == ""
+    assert err == f"error: bad {cli.DEFAULT_PRECISION_ENV}='abc'\n"
+
+
+def test_scaling_suite_reports_an_odd_scale_power(monkeypatch, capsys):
+    fold_scale = berezin.fold_scale
+
+    def odd_always(x, scale):
+        raise ArithmeticError("unbalanced scale half-power 3 survived")
+
+    def odd_when_scaled(x, scale):
+        return fold_scale(x, scale) if scale == 1 else odd_always(x, scale)
+
+    for fake in (odd_always, odd_when_scaled):
+        monkeypatch.setattr(berezin, "fold_scale", fake)
+        res = verify.check_scaling_invariance()
+        assert res["passed"] is False and res["measure"] == "3"
+        assert all(f[-1] == "unbalanced scale half-power 3 survived"
+                   for f in res["details"]["failures"])
+        code, out, _ = run(capsys, "verify", "--suite", "scaling")
+        assert code == 2 and json.loads(out)["passed"] is False
 
 
 @pytest.mark.parametrize("argv", [

@@ -213,13 +213,14 @@ def test_truncated_cone_torsion_sphere7_and_torus7():
 
 
 def test_base_torsion_classical_sphere_values():
-    # closed odd spheres: the scalar torsion equals the Riemannian volume
+    # Cheeger-Mueller on closed odd unit spheres: log T = rank log vol(S^n)
     P = 45
     ctx = context(P)
     from conetorsion.torsion import volume
     for n in (1, 3, 5, 7):
-        got = zeta.base_torsion(sphere(n), P)
-        assert abs(got - ctx.log(volume(sphere(n), P))) < ctx.mpf(10) ** -40
+        for rank in (1, 2):
+            got = zeta.base_torsion(sphere(n, rank), P)
+            assert abs(got - rank * ctx.log(volume(sphere(n), P))) < ctx.mpf(10) ** -40, (n, rank)
 
 
 def test_residual_is_half_the_truncated_torsion():

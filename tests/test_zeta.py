@@ -1,21 +1,21 @@
-"""Zeta continuations: values, residues, two independent routes, base torsion."""
+"""Zeta continuations: values, residues, base torsion, and the topological
+identities that check the Hurwitz continuation without sharing its code."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from conetorsion import zeta
-from conetorsion.precision import context
-from conetorsion.spectrum import DegreeData, sphere, torus, write_spectrum_file, read_spectrum_file
+from conetorsion.precision import context, to_real
+from conetorsion.spectrum import (
+    DegreeData, betti, sphere, torus, write_spectrum_file, read_spectrum_file)
+from conetorsion.torsion import volume
 from conetorsion.zeta import (
     ApproximateOnlyError,
-    CoclosedZetaB,
     PoleError,
     base_torsion,
-    base_torsion_from_form_spectra,
     direct_sum_with_tail,
-    shifted_residue_via_route_b,
     shifted_zeta_representation,
     zeta_ccl_at_zero,
     zeta_shifted,
@@ -44,25 +44,54 @@ def test_direct_sum_agreement():
         assert abs(cont - partial) <= tail
 
 
+# residue_at(2r + 1) of zeta_{k,N} on the unit sphere S^n, r = 1..(n-1)/2, k = 0..n-1;
+# the binomial re-expansion of zeta(s, ccl_k) around eta = w (w + 2A) gives the same
+SPHERE_RESIDUES = {
+    3: [(1,), (2,), (1,)],
+    5: [(F(-1, 12), F(1, 12)), (F(-4, 3), F(1, 3)), (F(-5, 2), F(1, 2)),
+        (F(-4, 3), F(1, 3)), (F(-1, 12), F(1, 12))],
+    7: [(F(1, 90), F(-1, 72), F(1, 360)), (F(3, 20), F(-1, 6), F(1, 60)),
+        (F(3, 2), F(-13, 24), F(1, 24)), (F(49, 18), F(-7, 9), F(1, 18)),
+        (F(3, 2), F(-13, 24), F(1, 24)), (F(3, 20), F(-1, 6), F(1, 60)),
+        (F(1, 90), F(-1, 72), F(1, 360))],
+}
+
+
 def test_sphere3_residues():
-    p0 = zeta_shifted_residue(S3, 0, 1, 40)
-    p1 = zeta_shifted_residue(S3, 1, 1, 40)
+    """The S³ residues as points; then every residue on S³, S⁵ and S⁷, pinned,
+    and the one at s = n against Weyl's law."""
+    P = 40
+    ctx = context(P)
+    p0 = zeta_shifted_residue(S3, 0, 1, P)
+    p1 = zeta_shifted_residue(S3, 1, 1, P)
     assert p0.residue == 1 and p1.residue == 2 and p0.exact and p1.exact
     assert p0.location == 3
+    for n, rows in SPHERE_RESIDUES.items():
+        assert len(rows) == n
+        for k, row in enumerate(rows):
+            assert len(row) == (n - 1) // 2
+            rep = shifted_zeta_representation(sphere(n), k)
+            assert tuple(rep.residue_at(2 * r + 1) for r in range(1, len(row) + 1)) == row, (n, k)
+        # Weyl's law for the residue at s = n:
+        #   n rank C(n-1, k) vol(S^n) / ((4 pi)^(n/2) Gamma(n/2 + 1))
+        half = ctx.mpf(n) / 2
+        for rank in (1, 2):
+            M = sphere(n, rank)
+            weyl = n * rank * volume(M, P) / ((4 * ctx.pi) ** half * ctx.gamma(half + 1))
+            for k in range(n):
+                got = to_real(shifted_zeta_representation(M, k).residue_at(n), P, ctx)
+                assert abs(got - math.comb(n - 1, k) * weyl) < ctx.mpf(10) ** (5 - P), (n, rank, k)
 
 
 def test_residue_numerical_limit_oracle():
-    # (s - 3) zeta(s) along s = 3 + 10^-j must converge to the residue, and
-    # zeta(s) - R/(s-3) to the finite part
+    # (s - 3) zeta(s) along s = 3 + 10^-j must converge to the residue
     P = 50
     ctx = context(P)
     point = zeta_shifted_residue(S3, 0, 1, P)
-    finite_part = shifted_zeta_representation(S3, 0).finite_part_at(3, P)
     for j in (8, 12):
         s = 3 + ctx.mpf(10) ** -j
         val = zeta_shifted(S3, 0, s, P)
         assert abs((s - 3) * val - point.residue) < ctx.mpf(10) ** (-j + 1)
-        assert abs((val - point.residue / (s - 3)) - finite_part) < ctx.mpf(10) ** (-j + 2)
 
 
 def test_out_of_range_residue():
@@ -80,53 +109,18 @@ def test_pole_parity():
         assert all((p + 1) % 2 == 1 for (p,) in rep.weights.coeffs)
 
 
-@pytest.mark.parametrize("M,k", [(S3, 0), (S3, 1), (S5, 0), (S5, 1), (S5, 2)])
-def test_residues_route_b_exact(M, k):
-    for r in range(1, (M.n - 1) // 2 + 1):
-        exact_a = shifted_zeta_representation(M, k).residue_at(F(2 * r + 1))
-        exact_b = shifted_residue_via_route_b(M, k, r)
-        assert exact_a == exact_b
-
-
-def test_binomial_continuation_equivalence():
-    """Route A and the composite route-B expansion agree at s in {0, +-1/2}.
-
-    The composite series has geometric ratio A^2 / eta_min (4/5 on the
-    5-sphere in degree 0), so several hundred terms at the stated tolerance.
-    """
-    P = 30
-    ctx = context(P)
-    for M, k in ((S3, 0), (S5, 0), (S5, 1)):
-        A2 = (F(M.n - 1, 2) - k) ** 2
-        zb = CoclosedZetaB(M, k)
-        rep = shifted_zeta_representation(M, k)
-        for two_s in (0, F(1, 2), F(-1, 2)):
-            s = F(two_s, 2)
-            route_a = rep.value(two_s, P)
-            acc = ctx.mpf(0)
-            j = 0
-            while True:
-                binom = zeta._binom_frac(-s, j)
-                rho = zb.value(s + j, P)
-                term = (ctx.mpf(binom.numerator) / binom.denominator
-                        * ctx.mpf((A2 ** j).numerator) / (A2 ** j).denominator * rho)
-                acc += term
-                j += 1
-                if A2 == 0 or (j > 4 and abs(term) < ctx.mpf(10) ** -25):
-                    break
-                if j > 1500:
-                    raise AssertionError("composite expansion failed to converge")
-            assert abs(route_a - acc) < ctx.mpf(10) ** -20
-
-
-def test_zeta_zero_identity_between_routes():
-    # zeta_{k,N}(0) equals the coclosed zeta at 0 computed through route B
+def test_zeta_zero_betti():
+    # no constant heat coefficient on a closed odd-dimensional manifold, so
+    # zeta(0, Delta_k) = -b_k; the nonzero spectrum of Delta_k is ccl_k + ccl_{k-1}
     P = 40
     ctx = context(P)
-    for M, k in ((S3, 0), (S5, 1)):
-        rep_zero = shifted_zeta_representation(M, k).value(0, P)
-        zb = CoclosedZetaB(M, k)
-        assert abs(zb.value(0, P) - rep_zero) < ctx.mpf(10) ** -25
+    for n in (1, 3, 5, 7):
+        for rank in (1, 2):
+            M = sphere(n, rank)
+            for k in range(n):
+                expected = -sum((-1) ** (k - j) * betti(M, j) for j in range(k + 1))
+                got = shifted_zeta_representation(M, k).value(0, P)
+                assert abs(got - expected) < ctx.mpf(10) ** (5 - P), (n, rank, k)
 
 
 def test_circle_ccl_at_zero():
@@ -182,13 +176,6 @@ def test_ccl_precision_doubling():
 def test_base_torsion_circle():
     ctx = context(40)
     assert abs(base_torsion(S1, 40) - ctx.log(2 * ctx.pi)) < ctx.mpf("1e-44")
-
-
-@pytest.mark.parametrize("M", [S1, S3, S5])
-def test_base_torsion_duality_oracle(M):
-    a = base_torsion(M, 40)
-    b = base_torsion_from_form_spectra(M, 40)
-    assert abs(a - b) < mp.mpf(10) ** -25
 
 
 def test_base_torsion_guards():
