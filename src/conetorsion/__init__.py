@@ -13,12 +13,12 @@ torsion (assembly), verify (quantitative suites), cli (driver).
 
 from .spectrum import BaseManifold, SpectralLine, sphere, torus, read_spectrum_file
 from .torsion import TorsionBreakdown, EpsilonReport, cone_torsion, truncated_cone_torsion
-from .zeta import MeromorphicPoint, base_torsion, zeta_shifted, zeta_shifted_residue
+from .zeta import MeromorphicPoint, base_torsion, zeta_shifted_residue
 
 __all__ = [
     "BaseManifold", "SpectralLine", "sphere", "torus", "read_spectrum_file",
     "TorsionBreakdown", "EpsilonReport", "cone_torsion", "truncated_cone_torsion",
-    "MeromorphicPoint", "base_torsion", "zeta_shifted", "zeta_shifted_residue",
+    "MeromorphicPoint", "base_torsion", "zeta_shifted_residue",
 ]
 
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ Variants (sign convention sigma = +1 for the 'psi' family, -1 for 'phi'):
 Zeta-determinant ratios det(L + nu^2 z^2)/det(L) are evaluated through
 boundary data of explicitly normalized solutions (the boundary-value
 determinant formula), not by transcribing the equivalent displayed
-Bessel-quotient forms; the displays are kept as cross-checks.  A brute-force
+Bessel-quotient forms; the displays and the full-cone closed forms are the
+tests' cross-checks (tests/oracles.py).  A brute-force
 eigenvalue oracle (dense scan + argument-principle count verification +
 bracketed refinement) validates both routes and the absolute harmonic-sector
 determinant 2 eps^(k - n/2).
@@ -43,13 +44,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 from typing import Optional
 
-import numpy as np
-import scipy.special as _sp
-from scipy.optimize import brentq
-
 from .precision import DEFAULT_DPS, DomainError, context, to_complex, to_real
+
+
+class _Deferred:
+    """A module imported when one of its attributes is first read.
+
+    Only the double-precision oracles use numpy and scipy, so reports, spectra
+    and the exact suites never pay their import.  Each attribute is cached on
+    the instance, so later reads are plain attribute lookups.  The oracles read
+    `_sp.jv` and the like at call time, so a stand-in rebound as
+    `operators._sp` (perfbench/tracer.py counts Bessel calls so) sees them all.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+np = _Deferred("numpy")
+_sp = _Deferred("scipy.special")
+_optimize = _Deferred("scipy.optimize")
 
 FAMILIES = ("psi", "phi")
 VARIANTS = ("psi2", "phi2", "psi0", "phi0", "h0")
@@ -174,31 +196,6 @@ def _dirichlet_seed_zero_robin(ctx, nu, x, shift):
     return ((nu + shift) * x ** nu + (nu - shift) * x ** (-nu)) / (2 * nu * ctx.sqrt(x))
 
 
-def det_ratio_full_cone(variant: str, nu, A, z, P: int = DEFAULT_DPS):
-    """det(L + nu^2 z^2)/det(L) for the four operators on (0,1] (closed forms)."""
-    if variant not in ("psi2", "phi2", "psi0", "phi0"):
-        raise ValueError("full-cone ratios exist for psi2/phi2/psi0/phi0")
-    ctx = context(P)
-    nu_m = to_real(nu, P, ctx)
-    if nu_m <= 0:
-        raise DomainError("full-cone closed forms require nu > 0")
-    A_m = to_real(A, P, ctx)
-    if z == 0:
-        return ctx.mpf(1)
-    z_m = to_complex(z, P, ctx)
-    w = nu_m * z_m
-    I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w)
-    if variant in ("psi0", "phi0"):
-        val = 2 ** nu_m * ctx.gamma(nu_m + 1) / w ** nu_m * I
-        return val.real if val.imag == 0 else val
-    s = 1 if variant == "psi2" else -1
-    if nu_m + s * A_m == 0:
-        raise DomainError("degenerate normalization: nu = -(sigma A)")
-    val = (2 ** nu_m * ctx.gamma(nu_m) / (w ** nu_m * (1 + s * A_m / nu_m))
-           * (w * Ip + s * A_m * I))
-    return val.real if val.imag == 0 else val
-
-
 def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
     """det(L + nu^2 z^2)/det(L) on [eps,1] via normalized-solution quotients.
 
@@ -232,37 +229,6 @@ def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
         den = _dirichlet_seed_zero_robin(ctx, nu_m, eps_m, shift)
         val = num / den
     return val.real if getattr(val, "imag", 0) == 0 else val
-
-
-def det_ratio_truncated_displayed(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
-    """The equivalent displayed Bessel-quotient closed forms (cross-check only)."""
-    ctx = context(P)
-    nu_m = to_real(nu, P, ctx)
-    A_m = to_real(A, P, ctx)
-    eps_m = to_real(Fraction(eps), P, ctx)
-    z_m = to_complex(z, P, ctx)
-    w = nu_m * z_m
-    I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w)
-    Ie, Ipe, Ke, Kpe = _bessel_pack(ctx, nu_m, w * eps_m)
-    if variant == "psi2":
-        den = (nu_m + A_m) * eps_m ** -nu_m + (nu_m - A_m) * eps_m ** nu_m
-        val = (2 * nu_m * (w * Ip + A_m * I) * Ke / den
-               * (1 - (w * Kp + A_m * K) / (w * Ip + A_m * I) * Ie / Ke))
-    elif variant == "phi2":
-        den = (nu_m - A_m) * eps_m ** -nu_m + (nu_m + A_m) * eps_m ** nu_m
-        val = (2 * nu_m * (w * Ip - A_m * I) * Ke / den
-               * (1 - (w * Kp - A_m * K) / (w * Ip - A_m * I) * Ie / Ke))
-    elif variant == "psi0":
-        den = (nu_m + A_m) * eps_m ** -nu_m + (nu_m - A_m) * eps_m ** nu_m
-        val = (2 * nu_m * (-w * eps_m * Kpe + A_m * Ke) * I / den
-               * (1 - K / I * (w * eps_m * Ipe - A_m * Ie) / (w * eps_m * Kpe - A_m * Ke)))
-    elif variant == "phi0":
-        den = (nu_m - A_m) * eps_m ** -nu_m + (nu_m + A_m) * eps_m ** nu_m
-        val = (2 * nu_m * (-w * eps_m * Kpe - A_m * Ke) * I / den
-               * (1 - K / I * (w * eps_m * Ipe + A_m * Ie) / (w * eps_m * Kpe + A_m * Ke)))
-    else:
-        raise ValueError(f"no displayed form for {variant!r}")
-    return val.real if val.imag == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +401,8 @@ def eigenvalues_oracle(op: ModelOperator, count: int, verify_winding: bool = Tru
     idx = np.where(sgn[:-1] * sgn[1:] < 0)[0]
     roots = []
     for i in idx:
-        roots.append(brentq(F, grid[i], grid[i + 1],
-                            xtol=1e-13, rtol=8.9e-16, maxiter=200))
+        roots.append(_optimize.brentq(F, grid[i], grid[i + 1],
+                                      xtol=1e-13, rtol=8.9e-16, maxiter=200))
         if len(roots) >= count + 2:
             break
     if len(roots) < count:

@@ -108,15 +108,6 @@ def shifted_zeta_representation(M: BaseManifold, k: int) -> ZetaRepresentation:
 # Evaluation
 
 
-def zeta_shifted(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS):
-    """zeta_{k,N}(s) by the exact continuation (spheres only).
-
-    Other bases raise ApproximateOnlyError; direct_sum_with_tail is their
-    partial sum with its tail bound.
-    """
-    return shifted_zeta_representation(M, k).value(s, P)
-
-
 def direct_sum_with_tail(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS, cutoff: int = 200):
     """Brute-force partial sum of nu^(-s) up to the cutoff plus a Weyl tail bound.
 

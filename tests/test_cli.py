@@ -1,11 +1,19 @@
 """Command line driver: exit codes, JSON determinism, file handling."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import conetorsion
 from conetorsion import berezin, cli, verify
 from conetorsion.cli import main, parse_base
+from conetorsion.operators import ModelOperator, eigenvalues_oracle
 from conetorsion.spectrum import UnsupportedManifoldError
 
 
@@ -13,6 +21,63 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(code, *argv):
+    """Run code in a new interpreter that imports this checkout's package;
+    return its last stdout line as JSON."""
+    src = str(Path(conetorsion.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+# every command here must leave numpy and scipy unloaded
+NO_ORACLE_COMMANDS = """
+import contextlib, io, json, sys
+from conetorsion import cli
+spec = sys.argv[1]
+commands = [
+    ["torsion", "--base", "sphere:3"],
+    ["verify", "--suite", "dm"],
+    ["verify", "--suite", "scaling"],
+    ["verify", "--suite", "duality"],
+    ["verify", "--suite", "wronskian"],
+    ["spectrum", "--base", "sphere:3", "--cutoff", "20", "--out", spec],
+    ["torsion", "--spectrum-file", spec],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in commands]
+print(json.dumps({"codes": codes,
+                  "loaded": sorted({"numpy", "scipy"} & set(sys.modules))}))
+"""
+
+
+def test_commands_without_an_oracle_never_load_numpy_or_scipy(tmp_path):
+    # a subprocess, because other tests load numpy into the pytest process
+    out = run_fresh(NO_ORACLE_COMMANDS, str(tmp_path / "s3.spec"))
+    assert out["codes"] == [0] * 7
+    assert out["loaded"] == []
+
+
+ORACLE_CALL = """
+import json, sys
+from fractions import Fraction
+from conetorsion.operators import ModelOperator, eigenvalues_oracle
+lam = eigenvalues_oracle(ModelOperator("psi2", 0.5, Fraction(1, 2), Fraction(1, 2)), 6)
+print(json.dumps({"lam": lam, "loaded": sorted({"numpy", "scipy"} & set(sys.modules))}))
+"""
+
+
+def test_an_oracle_loads_numpy_and_scipy_on_first_use():
+    out = run_fresh(ORACLE_CALL)
+    assert out["loaded"] == ["numpy", "scipy"]
+    # order 1/2: sin(mu (x - 1/2)) with f'(1) = 0, so mu = (2i - 1) pi
+    assert all(abs(lam / ((2 * i - 1) * math.pi) ** 2 - 1) < 1e-14
+               for i, lam in enumerate(out["lam"], 1))
+    op = ModelOperator("psi2", 0.5, Fraction(1, 2), Fraction(1, 2))
+    assert out["lam"] == eigenvalues_oracle(op, 6)
 
 
 def test_parse_base():

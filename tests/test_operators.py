@@ -12,10 +12,8 @@ from conetorsion.operators import (
     ModelOperator,
     RootIsolationError,
     ab_coefficients,
-    det_ratio_full_cone,
     det_ratio_oracle,
     det_ratio_truncated,
-    det_ratio_truncated_displayed,
     eigenvalues_oracle,
     h_det,
     harmonic_operator,
@@ -24,6 +22,7 @@ from conetorsion.operators import (
     zeta_det_oracle,
 )
 from conetorsion.precision import DomainError, context, to_complex
+from oracles import det_ratio_full_cone, det_ratio_truncated_displayed
 
 F = Fraction
 

@@ -18,9 +18,9 @@ from conetorsion.zeta import (
     direct_sum_with_tail,
     shifted_zeta_representation,
     zeta_ccl_at_zero,
-    zeta_shifted,
     zeta_shifted_residue,
 )
+from oracles import zeta_shifted
 
 F = Fraction
 S1, S3, S5 = sphere(1), sphere(3), sphere(5)
