@@ -35,8 +35,13 @@ Derivatives come from the one-sided recurrences, two Bessel evaluations per
 function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y in the oracle,
 and I' = I_{nu-1} - (nu/w) I_nu, K' = -K_{nu-1} - (nu/w) K_nu in _bessel_pack.
 Neither cancels for real w: the K terms share a sign and I_{nu-1} > (nu/w) I_nu.
-The precision module keeps the two-sided forms (I_{nu-1} + I_{nu+1})/2 and
--(K_{nu-1} + K_{nu+1})/2, so the wronskian suite checks an independent route.
+I_{nu-1} and I_nu are mpmath's besseli.  K_{nu-1} and K_nu come as one pair
+from _besselk_pair: mpmath's besselk below |w| = 8, and from |w| = 8 on
+Temme's continued fraction CF2 and the upward recurrence, because mpmath's
+besselk at integer order takes 0.15-0.5 s a call there.  The precision module
+keeps mpmath's besselk and the two-sided forms (I_{nu-1} + I_{nu+1})/2 and
+-(K_{nu-1} + K_{nu+1})/2, so the wronskian suite and the tests' oracles check
+an independent route.
 """
 
 from __future__ import annotations
@@ -174,9 +179,95 @@ def _bessel_pack(ctx, nu, w):
     I' = I_{nu-1} - (nu/w) I_nu and K' = -K_{nu-1} - (nu/w) K_nu.
     """
     I = ctx.besseli(nu, w)
-    K = ctx.besselk(nu, w)
+    K_prev, K = _besselk_pair(ctx, nu, w)
     r = nu / w
-    return I, ctx.besseli(nu - 1, w) - r * I, K, -ctx.besselk(nu - 1, w) - r * K
+    return I, ctx.besseli(nu - 1, w) - r * I, K, -K_prev - r * K
+
+
+_CF2_SWITCH = 8
+
+
+def _besselk_pair(ctx, nu, w):
+    """(K_{nu-1}(w), K_nu(w)) for nu >= 0 and Re w >= 0.
+
+    Below |w| = _CF2_SWITCH both come from mpmath's besselk.  At or above it,
+    Steed's continued fraction CF2 (Temme, J. Comput. Phys. 19 (1975) 324;
+    Thompson and Barnett, Comput. Phys. Commun. 47 (1987) 245, for complex w)
+    gives K_mu and K_{mu+1} for mu = nu - floor(nu + 1/2) in [-1/2, 1/2), and
+    the upward recurrence K_{mu+j+1} = K_{mu+j-1} + (2(mu+j)/w) K_{mu+j}, which
+    is stable for K, carries them to the pair; nu < 1/2 takes one step down.
+
+    CF2 needs about (D ln 10)^2 / (8|w|) terms for D digits on the real axis
+    and twice that on the imaginary axis.  The loop stops at D^2 terms, six
+    times what the switch needs, and raises ArithmeticError past that.
+
+    The switch is the crossover against mpmath's two calls, measured in ms
+    per pair as CF2 + recurrence / mpmath at real w, best of 5, with mpmath
+    1.3.0 (pure-Python backend) on a 2-core VM:
+
+        P    nu   |w| = 4   5        6        7       8        10
+        40   1/3   24/6     22/6     18/6     16/7    14/6     11/6
+        40   1     26/20    21/23    17/23    15/24   14/24    11/26
+        40   2     26/28    20/31    18/32    15/32   14/36    12/38
+        40   20    26/32    21/33    18/33    16/34   14/38    13/42
+        40   80    29/26    23/27    19/29    17/28   14/30    13/36
+        50   1/3   38/6     31/7     27/7     24/7    21/8     17/8
+        50   1     39/28    31/30    26/32    25/34   23/33    17/35
+        50   2     39/41    32/44    27/46    24/48   21/48    18/55
+        50   20    38/41    29/42    26/46    23/48   21/50    17/54
+        50   80    38/31    31/33    28/33    25/36   22/38    11/33
+        100  1/3   106/14   82/9     66/16    107/17  95/17    78/17
+        100  1     184/73   147/79   70/62    57/51   48/60    36/82
+        100  2     119/99   112/107  97/107   69/105  70/117   62/122
+        100  20    118/90   95/94    79/101   71/107  61/110   47/118
+        100  80    120/66   103/86   64/100   53/72   59/121   62/130
+
+    At integer order CF2 wins from |w| = 4-5 at P = 40 and 50 and from 6-8 at
+    P = 100; 8 is the smallest |w| measured at which it wins for every
+    integer order and P.  mpmath's non-integer path stays faster to |w| = 20,
+    by 5-13 ms a pair at P <= 50 and 60-80 ms at P = 100.
+    """
+    if w.real < 0:
+        raise DomainError(f"K pair needs Re w >= 0, got w = {w}")
+    if nu < 0:
+        raise DomainError(f"K pair needs nu >= 0, got nu = {nu}")
+    if abs(w) < _CF2_SWITCH:
+        return ctx.besselk(nu - 1, w), ctx.besselk(nu, w)
+    m = int(ctx.floor(nu + ctx.mpf(1) / 2))
+    mu = nu - m
+    a1 = ctx.mpf(1) / 4 - mu * mu
+    b = 2 * (1 + w)
+    d = 1 / b
+    h = delh = d
+    q1, q2 = 0, 1
+    q = c = a1
+    a = -a1
+    dels = q * delh
+    s = 1 + dels
+    cap = ctx.dps ** 2
+    i = 1
+    while abs(dels) > ctx.eps * abs(s):
+        i += 1
+        if i > cap:
+            raise ArithmeticError(f"K_nu continued fraction for nu = {nu}, w = {w} "
+                                  f"did not converge in {cap} iterations")
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2
+        d = 1 / (b + a * d)
+        delh = (b * d - 1) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+    k0 = ctx.sqrt(ctx.pi / (2 * w)) * ctx.exp(-w) / s
+    k1 = k0 * (mu + w + ctx.mpf(1) / 2 - a1 * h) / w
+    if m == 0:
+        return k1 - (2 * mu / w) * k0, k0
+    for j in range(1, m):
+        k0, k1 = k1, k0 + (2 * (mu + j) / w) * k1
+    return k0, k1
 
 
 def _dirichlet_seed_robin_data(ctx, nu, w, x, shift):

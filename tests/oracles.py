@@ -3,13 +3,25 @@
 The tests compare the package's routes against them: the full-cone
 determinant ratios and the displayed Bessel-quotient forms of the truncated
 ratios check operators.det_ratio_truncated and t_function, and zeta_shifted
-evaluates the exact Hurwitz continuation at any s.
+evaluates the exact Hurwitz continuation at any s.  Their Bessel values come
+from the precision module (mpmath's besseli and besselk, two-sided derivative
+recurrences), not from the operators module's Bessel pack, so the checks share
+no Bessel code with the routes they check.
 """
 
 from fractions import Fraction
 
-from conetorsion.operators import _bessel_pack
-from conetorsion.precision import DEFAULT_DPS, DomainError, context, to_complex, to_real
+from conetorsion.precision import (
+    DEFAULT_DPS,
+    DomainError,
+    bessel_i,
+    bessel_i_prime,
+    bessel_k,
+    bessel_k_prime,
+    context,
+    to_complex,
+    to_real,
+)
 from conetorsion.spectrum import BaseManifold
 from conetorsion.zeta import shifted_zeta_representation
 
@@ -27,7 +39,7 @@ def det_ratio_full_cone(variant: str, nu, A, z, P: int = DEFAULT_DPS):
         return ctx.mpf(1)
     z_m = to_complex(z, P, ctx)
     w = nu_m * z_m
-    I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w)
+    I, Ip = bessel_i(nu_m, w, P), bessel_i_prime(nu_m, w, P)
     if variant in ("psi0", "phi0"):
         val = 2 ** nu_m * ctx.gamma(nu_m + 1) / w ** nu_m * I
         return val.real if val.imag == 0 else val
@@ -39,6 +51,12 @@ def det_ratio_full_cone(variant: str, nu, A, z, P: int = DEFAULT_DPS):
     return val.real if val.imag == 0 else val
 
 
+def _bessel_values(nu, w, P):
+    """I, I', K, K' at w from the precision module."""
+    return (bessel_i(nu, w, P), bessel_i_prime(nu, w, P),
+            bessel_k(nu, w, P), bessel_k_prime(nu, w, P))
+
+
 def det_ratio_truncated_displayed(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
     """The equivalent displayed Bessel-quotient closed forms (cross-check only)."""
     ctx = context(P)
@@ -47,8 +65,8 @@ def det_ratio_truncated_displayed(variant: str, nu, A, z, eps, P: int = DEFAULT_
     eps_m = to_real(Fraction(eps), P, ctx)
     z_m = to_complex(z, P, ctx)
     w = nu_m * z_m
-    I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w)
-    Ie, Ipe, Ke, Kpe = _bessel_pack(ctx, nu_m, w * eps_m)
+    I, Ip, K, Kp = _bessel_values(nu_m, w, P)
+    Ie, Ipe, Ke, Kpe = _bessel_values(nu_m, w * eps_m, P)
     if variant == "psi2":
         den = (nu_m + A_m) * eps_m ** -nu_m + (nu_m - A_m) * eps_m ** nu_m
         val = (2 * nu_m * (w * Ip + A_m * I) * Ke / den

@@ -1,5 +1,6 @@
 """Model operators: normalized solutions, determinant ratios, oracles."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -70,7 +71,8 @@ def test_truncated_ratio_matches_displayed_form(variant):
     ctx = context(P)
     for nu, A, eps, z in ((F(3, 2), F(1, 2), F(1, 3), 1),
                           (F(5, 2), F(1), F(1, 2), F(1, 2)),
-                          (2, 0, F(1, 4), 2)):
+                          (2, 0, F(1, 4), 2),
+                          (20, F(1), F(1, 2), 1)):     # integer order, K pair from CF2
         quotient = det_ratio_truncated(variant, nu, A, z, eps, P)
         displayed = det_ratio_truncated_displayed(variant, nu, A, z, eps, P)
         assert abs(quotient - displayed) < ctx.mpf(10) ** -40 * abs(displayed)
@@ -103,10 +105,11 @@ def _t_from_determinant_ratios(k, n, nu, eps, lam, P):
 def test_t_function_forms_agree():
     P = 40
     ctx = context(P)
-    for lam in (-1, (-2, 1), F(-1, 100)):
+    # the nu = 5/2 cases stay below the CF2 switch; nu = 20 at lam = -1 runs CF2 at w = 20
+    for nu, lam in ((F(5, 2), -1), (F(5, 2), (-2, 1)), (F(5, 2), F(-1, 100)), (20, -1)):
         lam_v = ctx.mpc(*lam) if isinstance(lam, tuple) else lam
-        a = t_function(0, 3, F(5, 2), F(1, 3), lam_v, P)
-        b = _t_from_determinant_ratios(0, 3, F(5, 2), F(1, 3), lam_v, P)
+        a = t_function(0, 3, nu, F(1, 3), lam_v, P)
+        b = _t_from_determinant_ratios(0, 3, nu, F(1, 3), lam_v, P)
         assert abs(a - b) < ctx.mpf(10) ** -20
 
 
@@ -275,4 +278,47 @@ def test_bessel_pack_recurrence_derivatives(nu):
         two_sided_K = -(ctx.besselk(nu_m - 1, w) + ctx.besselk(nu_m + 1, w)) / 2
         assert abs(Ip - two_sided_I) <= ctx.mpf(10) ** (5 - P) * abs(two_sided_I)
         assert abs(Kp - two_sided_K) <= ctx.mpf(10) ** (5 - P) * abs(two_sided_K)
-        assert I == ctx.besseli(nu_m, w) and K == ctx.besselk(nu_m, w)
+        assert I == ctx.besseli(nu_m, w)
+        K_mp = ctx.besselk(nu_m, w)
+        assert abs(K - K_mp) <= ctx.mpf(10) ** -P * abs(K_mp)
+
+
+SWITCH = F(operators._CF2_SWITCH)
+KPAIR_ARGUMENTS = [(F(1, 3), 0), (SWITCH - F(1, 1000), 0), (SWITCH, 0), (7, 0), (80, 0),
+                   (2500, 0), (0, 5), (0, 40), (F(1, 100), 30), (40, -25), (3, -300)]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_k(order, arg):
+    """mpmath's K_order(arg) at 120 digits: 2P at P = 50 and P + 20 at P = 100."""
+    ref = context(110)
+    return ref.besselk(to_complex(order, 110, ref).real, to_complex(arg, 110, ref))
+
+
+@pytest.mark.parametrize("nu", [F(1, 10), F(1, 2), F(1), F(3, 2), F(7, 3), F(20), F(79), F(80)],
+                         ids=str)
+def test_besselk_pair_matches_mpmath(nu):
+    for P in (50, 100):
+        ctx = context(P)
+        nu_m = to_complex(nu, P, ctx).real
+        for arg in KPAIR_ARGUMENTS:
+            got = operators._besselk_pair(ctx, nu_m, to_complex(arg, P, ctx))
+            for value, order in zip(got, (nu - 1, nu)):
+                want = _reference_k(order, arg)
+                assert abs(value - want) <= ctx.mpf(10) ** -P * abs(want), (P, str(nu), arg)
+
+
+def test_besselk_pair_guards(monkeypatch):
+    ctx = context(50)
+    with pytest.raises(DomainError):
+        operators._besselk_pair(ctx, ctx.mpf(20), ctx.mpc(-1, 40))
+    with pytest.raises(DomainError):
+        operators._besselk_pair(ctx, -ctx.mpf(20), ctx.mpf(10))
+    # on the imaginary axis above the switch CF2 converges: K_nu(conj w) = conj K_nu(w)
+    up = operators._besselk_pair(ctx, ctx.mpf(20), ctx.mpc(0, 40))
+    down = operators._besselk_pair(ctx, ctx.mpf(20), ctx.mpc(0, -40))
+    assert all(abs(u - d.conjugate()) <= ctx.mpf(10) ** -50 * abs(u) for u, d in zip(up, down))
+    # |w| = 1/100 needs about 2.3e5 CF2 terms, far past the cap of dps^2 = 3600
+    monkeypatch.setattr(operators, "_CF2_SWITCH", 0)
+    with pytest.raises(ArithmeticError, match=r"nu = 20.*w = .*3600 iterations"):
+        operators._besselk_pair(ctx, ctx.mpf(20), ctx.mpf(1) / 100)
