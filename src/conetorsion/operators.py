@@ -16,17 +16,16 @@ g(x) = sqrt(x) C_nu(mu x) these functionals act as
 and beta + 1/2 = +-A for the four variants used here, which is why every
 closed form below carries the combinations  z C' +- A C.
 
-Variants (sign convention sigma = +1 for the 'psi' family, -1 for 'phi'):
+Variants: psi2/phi2/psi0/phi0 on [eps,1] and on the full cone (0,1], and
+h0, the harmonic sector, on [eps,1] with order nu = |A|.  end_conditions is
+the one table of their boundary conditions; the closed-form ratios and the
+eigenvalue oracle both read it.
 
-    psi2 / phi2 on [eps,1]: Dirichlet at eps, N(sigma A - 1/2) at 1;
-    psi0 / phi0 on [eps,1]: N(-sigma A - 1/2) at eps, Dirichlet at 1;
-    h0 (harmonic sector):   like psi0 with order nu = |A|.
-
-Zeta-determinant ratios det(L + nu^2 z^2)/det(L) are evaluated through
-boundary data of explicitly normalized solutions (the boundary-value
-determinant formula), not by transcribing the equivalent displayed
-Bessel-quotient forms; the displays and the full-cone closed forms are the
-tests' cross-checks (tests/oracles.py).  A brute-force
+Zeta-determinant ratios det(L + nu^2 z^2)/det(L) are 2x2 boundary
+determinants on a Bessel basis divided by their z -> 0 limit (the
+boundary-value determinant formula), not transcriptions of the equivalent
+displayed Bessel-quotient forms; the displays and the full-cone closed forms
+are the tests' cross-checks (tests/oracles.py).  A brute-force
 eigenvalue oracle (dense scan + argument-principle count verification +
 bracketed refinement) validates both routes and the absolute harmonic-sector
 determinant 2 eps^(k - n/2).
@@ -78,7 +77,6 @@ np = _Deferred("numpy")
 _sp = _Deferred("scipy.special")
 _optimize = _Deferred("scipy.optimize")
 
-FAMILIES = ("psi", "phi")
 VARIANTS = ("psi2", "phi2", "psi0", "phi0", "h0")
 
 
@@ -114,63 +112,29 @@ class ModelOperator:
         return 1.0 - float(self.eps) if self.eps is not None else 1.0
 
     def boundary_conditions(self):
-        """((side, kind, beta), ...) with side in {'0','eps','1'}.
+        """The end conditions of this operator (see end_conditions)."""
+        return end_conditions(self.variant, self.A, self.eps)
 
-        Kinds: 'D' Dirichlet, 'N' the Robin functional with coefficient beta,
-        'D0' the admissible-branch condition at the cone tip, which keeps the
-        x^(nu+1/2) solution.
-        """
-        A = Fraction(self.A)
-        if self.eps is None:
-            right = {
-                "psi2": ("1", "N", A - Fraction(1, 2)),
-                "phi2": ("1", "N", -A - Fraction(1, 2)),
-                "psi0": ("1", "D", None),
-                "phi0": ("1", "D", None),
-                "h0": ("1", "D", None),
-            }[self.variant]
-            return (("0", "D0", None), right)
-        table = {
-            "psi2": (("eps", "D", None), ("1", "N", A - Fraction(1, 2))),
-            "phi2": (("eps", "D", None), ("1", "N", -A - Fraction(1, 2))),
-            "psi0": (("eps", "N", -A - Fraction(1, 2)), ("1", "D", None)),
-            "phi0": (("eps", "N", A - Fraction(1, 2)), ("1", "D", None)),
-            "h0": (("eps", "N", -A - Fraction(1, 2)), ("1", "D", None)),
-        }
-        return table[self.variant]
+
+def end_conditions(variant: str, A, eps=None):
+    """((side, kind, beta), (side, kind, beta)) at the left and the right end.
+
+    side is '0', 'eps' or '1'; the left end is '0' on the full interval
+    (eps None).  Kinds: 'D' Dirichlet, 'N' the Robin functional with
+    coefficient beta, 'D0' the admissible-branch condition at the cone tip,
+    which keeps the x^(nu+1/2) solution.
+    """
+    A = Fraction(A)
+    beta = {"psi2": A, "phi2": -A, "psi0": -A, "phi0": A, "h0": -A}[variant] - Fraction(1, 2)
+    if variant in ("psi2", "phi2"):
+        left, right = ("eps", "D", None), ("1", "N", beta)
+    else:
+        left, right = ("eps", "N", beta), ("1", "D", None)
+    return (("0", "D0", None) if eps is None else left), right
 
 
 # ---------------------------------------------------------------------------
-# Normalized solutions
-
-
-def normalized_solution(family: str, nu, A, x, z, P: int = DEFAULT_DPS):
-    """Solution of (L + z^2) f = 0 with the Robin condition at 1 and f(1) = 1.
-
-    family 'psi' uses shift +A, 'phi' uses -A.  At z = 0 the closed form
-    ((nu - sA) x^(nu+1/2) + (nu + sA) x^(-nu+1/2)) / (2 nu) applies.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"family must be in {FAMILIES}")
-    ctx = context(P)
-    s = 1 if family == "psi" else -1
-    nu_m = to_real(nu, P, ctx)
-    A_m = s * to_real(A, P, ctx)
-    x_m = to_real(x, P, ctx)
-    if not 0 < x_m <= 1:
-        raise DomainError(f"x must lie in (0,1], got {x}")
-    if z == 0:
-        if nu_m == 0:
-            raise DomainError("closed z=0 form needs nu > 0")
-        return ((nu_m - A_m) * x_m ** (nu_m + ctx.mpf(1) / 2)
-                + (nu_m + A_m) * x_m ** (-nu_m + ctx.mpf(1) / 2)) / (2 * nu_m)
-    z_m = to_complex(z, P, ctx)
-    if z_m.real < 0:
-        raise DomainError(f"z = {z} outside the sector Re z >= 0")
-    I, Ip, K, Kp = _bessel_pack(ctx, nu_m, z_m)
-    val = ((z_m * Ip + A_m * I) * ctx.sqrt(x_m) * ctx.besselk(nu_m, z_m * x_m)
-           - (z_m * Kp + A_m * K) * ctx.sqrt(x_m) * ctx.besseli(nu_m, z_m * x_m))
-    return val.real if val.imag == 0 else val
+# Closed-form determinant ratios
 
 
 def _bessel_pack(ctx, nu, w):
@@ -270,29 +234,14 @@ def _besselk_pair(ctx, nu, w):
     return k0, k1
 
 
-def _dirichlet_seed_robin_data(ctx, nu, w, x, shift):
-    """The Robin functional with beta + 1/2 = shift applied to the seed solution
-    sqrt(x) [I_nu(w x) K_nu(w) - K_nu(w x) I_nu(w)], which vanishes at 1.
-
-    Analytic derivative: equals x^(-1/2) [ (w x I'(wx) + shift I(wx)) K(w)
-                                          - (w x K'(wx) + shift K(wx)) I(w) ].
-    """
-    Iwx, Ipwx, Kwx, Kpwx = _bessel_pack(ctx, nu, w * x)
-    return ((w * x * Ipwx + shift * Iwx) * ctx.besselk(nu, w)
-            - (w * x * Kpwx + shift * Kwx) * ctx.besseli(nu, w)) / ctx.sqrt(x)
-
-
-def _dirichlet_seed_zero_robin(ctx, nu, x, shift):
-    """Robin data of the z = 0 seed:  x^(-1/2) [ (nu+shift) x^nu + (nu-shift) x^-nu ] / (2 nu)."""
-    return ((nu + shift) * x ** nu + (nu - shift) * x ** (-nu)) / (2 * nu * ctx.sqrt(x))
-
-
 def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
-    """det(L + nu^2 z^2)/det(L) on [eps,1] via normalized-solution quotients.
+    """det(L + nu^2 z^2)/det(L) on [eps,1] as a quotient of boundary determinants.
 
-    psi2/phi2 use the solution normalized at x = 1 evaluated through the
-    Dirichlet functional at eps; psi0/phi0 use the Robin functional at eps
-    applied to the seed solution vanishing at 1.
+    For a two-point boundary problem the ratio is the 2x2 determinant of the
+    end conditions on a solution basis of Wronskian -1, divided by its z -> 0
+    limit (Burghelea, Friedlander and Kappeler, Proc. AMS 123 (1995)).
+    The numerator takes the basis sqrt(x) I_nu(w x), sqrt(x) K_nu(w x) with
+    w = nu z, the denominator sqrt(x) x^(+-nu) with the determinant over 2 nu.
     """
     if variant not in ("psi2", "phi2", "psi0", "phi0"):
         raise ValueError("truncated ratios exist for psi2/phi2/psi0/phi0")
@@ -305,21 +254,22 @@ def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
         raise DomainError("truncated quotients require nu > 0")
     if z == 0:
         return ctx.mpf(1)
-    z_m = to_complex(z, P, ctx)
-    w = nu_m * z_m
-    eps_m = to_real(eps_f, P, ctx)
-    if variant in ("psi2", "phi2"):
-        family = "psi" if variant == "psi2" else "phi"
-        num = normalized_solution(family, nu, A, eps_f, w, P)
-        den = normalized_solution(family, nu, A, eps_f, 0, P)
-        val = num / den
-    else:
-        s = 1 if variant == "psi0" else -1
-        shift = -s * to_real(A, P, ctx)     # beta + 1/2 = -sigma A at the eps end
-        num = _dirichlet_seed_robin_data(ctx, nu_m, w, eps_m, shift)
-        den = _dirichlet_seed_zero_robin(ctx, nu_m, eps_m, shift)
-        val = num / den
-    return val.real if getattr(val, "imag", 0) == 0 else val
+    w = nu_m * to_complex(z, P, ctx)
+    rows = []
+    for side, kind, beta in end_conditions(variant, A, eps_f):
+        x0 = to_real(eps_f, P, ctx) if side == "eps" else ctx.mpf(1)
+        I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w * x0)
+        p = x0 ** nu_m
+        # (C, t C'(t)) at t = w x0 for I_nu and K_nu, at t = x0 for t^nu and t^-nu
+        basis = ((I, w * x0 * Ip), (K, w * x0 * Kp), (p, nu_m * p), (1 / p, -nu_m / p))
+        if kind == "D":
+            rows.append([ctx.sqrt(x0) * c for c, _ in basis])
+        else:
+            shift = to_real(beta + Fraction(1, 2), P, ctx)
+            rows.append([(tc + shift * c) / ctx.sqrt(x0) for c, tc in basis])
+    (lI, lK, lp, lm), (rI, rK, rp, rm) = rows
+    val = 2 * nu_m * (lI * rK - lK * rI) / (lp * rm - lm * rp)
+    return val.real if val.imag == 0 else val
 
 
 # ---------------------------------------------------------------------------

@@ -149,39 +149,6 @@ def betti(M: BaseManifold, k: int) -> int:
 # Round spheres: Weyl dimension formula for the coclosed eigenspaces
 
 
-def _weyl_dim_sphere(n: int, kprime: int, j: int) -> Fraction:
-    """Dimension of the rotation-group representation with highest weight
-    (j, 1^kprime, 0^...) for the symmetry group of S^n, n odd."""
-    m = (n + 1) // 2
-    lam = [j] + [1] * kprime + [0] * (m - 1 - kprime)
-    rho = [m - 1 - i for i in range(m)]
-    l = [lam[i] + rho[i] for i in range(m)]
-    num = Fraction(1)
-    den = Fraction(1)
-    for i in range(m):
-        for jj in range(i + 1, m):
-            num *= Fraction(l[i] ** 2 - l[jj] ** 2)
-            den *= Fraction(rho[i] ** 2 - rho[jj] ** 2)
-    return num / den
-
-
-def sphere_multiplicity(n: int, k: int, j: int) -> int:
-    """Multiplicity of the j-th coclosed k-form eigenvalue (j+k)(j+n-1-k) on S^n."""
-    if n == 1:
-        if k != 0:
-            return 0
-        return 2
-    if k >= n:
-        return 0
-    kp = min(k, n - 1 - k)
-    d = _weyl_dim_sphere(n, kp, j)
-    if kp == (n - 1) // 2:
-        d *= 2
-    if d.denominator != 1:
-        raise RuntimeError(f"non-integer multiplicity for n={n}, k={k}, j={j}: {d}")
-    return int(d)
-
-
 def sphere_multiplicity_polynomial(M: BaseManifold, k: int) -> Polynomial:
     """Multiplicity as an exact polynomial in x = nu = j + (n-1)/2 (spheres only).
 
@@ -221,18 +188,26 @@ def _sphere_lines(M: BaseManifold, k: int, cutoff: Fraction) -> list:
     n = M.n
     if k >= n:
         return []
+    mult = sphere_multiplicity_polynomial(M, k)     # carries the rank
     out = []
     c = Fraction(n - 1, 2)
     j = 1
     while j + c <= cutoff:
         eta = Fraction((j + k) * (j + n - 1 - k))
-        out.append(SpectralLine(k, eta, M.rank * sphere_multiplicity(n, k, j)))
+        d = mult.substitute(0, j + c)
+        if d.denominator != 1:
+            raise RuntimeError(f"non-integer multiplicity for n={n}, k={k}, j={j}: {d}")
+        out.append(SpectralLine(k, eta, int(d)))
         j += 1
     return out
 
 
 # ---------------------------------------------------------------------------
 # Flat cubic tori
+
+
+# The count keeps lists of qmax + 1 entries and takes O(n qmax^2) steps.
+_MAX_LATTICE_NORM = 10 ** 6
 
 
 def _sum_of_squares_counts(n: int, qmax: int) -> list:
@@ -264,8 +239,11 @@ def _torus_lines(M: BaseManifold, k: int, cutoff: Fraction) -> list:
     A2 = DegreeData(k, n).A ** 2
     if cutoff ** 2 <= A2:
         return []
-    qmax_f = (cutoff ** 2 - A2) / M.scale
-    qmax = int(qmax_f)
+    qmax = int((cutoff ** 2 - A2) / M.scale)
+    if qmax > _MAX_LATTICE_NORM:
+        raise UnsupportedManifoldError(
+            f"{M.name}: the cutoff needs lattice norms |m|^2 up to about 2^{qmax.bit_length()}, "
+            f"beyond the {_MAX_LATTICE_NORM} that the lattice count supports")
     per_point = M.rank * math.comb(n - 1, k)
     counts = _sum_of_squares_counts(n, qmax)
     out = []

@@ -15,7 +15,7 @@ import mpmath
 
 from . import olver, operators, spectrum, torsion, zeta
 from .berezin import CollarMetric, b_class, scaled
-from .precision import bessel_i, bessel_i_prime, bessel_k, bessel_k_prime, context
+from .precision import bessel_i, bessel_i_prime, bessel_k, bessel_k_prime, context, to_complex
 
 
 def _result(name, passed, measure, tolerance, details=None):
@@ -56,9 +56,7 @@ def check_wronskian(P: int = 50):
     for nu, z in grid:
         w = (bessel_k(nu, z, P) * bessel_i_prime(nu, z, P)
              - bessel_k_prime(nu, z, P) * bessel_i(nu, z, P))
-        zc = ctx.mpc(*z) if isinstance(z, tuple) else ctx.mpf(
-            z) if not isinstance(z, Fraction) else ctx.mpf(z.numerator) / z.denominator
-        worst = max(worst, abs(zc * w - 1))
+        worst = max(worst, abs(to_complex(z, P, ctx) * w - 1))
     tol = ctx.mpf(10) ** -40
     return _result("wronskian", worst <= tol, worst, tol, {"points": len(grid)})
 

@@ -2,9 +2,11 @@
 
 The tests compare the package's routes against them: the full-cone
 determinant ratios and the displayed Bessel-quotient forms of the truncated
-ratios check operators.det_ratio_truncated and t_function, and zeta_shifted
-evaluates the exact Hurwitz continuation at any s.  Their Bessel values come
-from the precision module (mpmath's besseli and besselk, two-sided derivative
+ratios check operators.det_ratio_truncated and t_function, zeta_shifted
+evaluates the exact Hurwitz continuation at any s, and sphere_multiplicity
+gives the sphere multiplicities pointwise from the Weyl dimension formula as
+the reference of the multiplicity polynomials.  The Bessel values come from
+the precision module (mpmath's besseli and besselk, two-sided derivative
 recurrences), not from the operators module's Bessel pack, so the checks share
 no Bessel code with the routes they check.
 """
@@ -95,3 +97,36 @@ def zeta_shifted(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS):
     partial sum with its tail bound.
     """
     return shifted_zeta_representation(M, k).value(s, P)
+
+
+def _weyl_dim_sphere(n: int, kprime: int, j: int) -> Fraction:
+    """Dimension of the rotation-group representation with highest weight
+    (j, 1^kprime, 0^...) for the symmetry group of S^n, n odd."""
+    m = (n + 1) // 2
+    lam = [j] + [1] * kprime + [0] * (m - 1 - kprime)
+    rho = [m - 1 - i for i in range(m)]
+    l = [lam[i] + rho[i] for i in range(m)]
+    num = Fraction(1)
+    den = Fraction(1)
+    for i in range(m):
+        for jj in range(i + 1, m):
+            num *= Fraction(l[i] ** 2 - l[jj] ** 2)
+            den *= Fraction(rho[i] ** 2 - rho[jj] ** 2)
+    return num / den
+
+
+def sphere_multiplicity(n: int, k: int, j: int) -> int:
+    """Multiplicity of the j-th coclosed k-form eigenvalue (j+k)(j+n-1-k) on S^n."""
+    if n == 1:
+        if k != 0:
+            return 0
+        return 2
+    if k >= n:
+        return 0
+    kp = min(k, n - 1 - k)
+    d = _weyl_dim_sphere(n, kp, j)
+    if kp == (n - 1) // 2:
+        d *= 2
+    if d.denominator != 1:
+        raise RuntimeError(f"non-integer multiplicity for n={n}, k={k}, j={j}: {d}")
+    return int(d)

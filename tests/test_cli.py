@@ -212,6 +212,9 @@ def test_scaling_suite_reports_an_odd_scale_power(monkeypatch, capsys):
     ("torsion", "--base", "torus:3:1:1/0"),
     ("torsion", "--base", "sphere:3:1:5"),
     ("torsion", "--base", "torus:3:1:1:9"),
+    # lattice norms past what the torus lattice count can list
+    ("spectrum", "--base", "torus:3", "--cutoff", "1e400"),
+    ("spectrum", "--base", "torus:3:1:1e-300", "--cutoff", "20"),
 ])
 def test_malformed_numbers_are_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

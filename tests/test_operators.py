@@ -1,4 +1,4 @@
-"""Model operators: normalized solutions, determinant ratios, oracles."""
+"""Model operators: boundary conditions, determinant ratios, oracles."""
 
 import functools
 import math
@@ -18,7 +18,6 @@ from conetorsion.operators import (
     eigenvalues_oracle,
     h_det,
     harmonic_operator,
-    normalized_solution,
     t_function,
     zeta_det_oracle,
 )
@@ -28,28 +27,13 @@ from oracles import det_ratio_full_cone, det_ratio_truncated_displayed
 F = Fraction
 
 
-def test_normalization_at_one():
-    P = 40
-    ctx = context(P)
-    for family in ("psi", "phi"):
-        for nu, A, z in ((F(3, 2), F(1), 1), (F(5, 2), F(1, 2), ctx.mpc(1, 1)), (2, 0, 3)):
-            assert abs(normalized_solution(family, nu, A, 1, z, P) - 1) < ctx.mpf("1e-44")
-
-
-def test_zero_frequency_closed_form():
-    P = 40
-    ctx = context(P)
-    got = normalized_solution("psi", 1, 0, F(1, 4), 0, P)
-    want = (ctx.mpf(1) / 4 ** ctx.mpf("1.5") + 4 ** ctx.mpf("0.5")) / 2
-    assert abs(got - want) < ctx.mpf("1e-44")
-
-
 def test_small_z_limit_matches_closed_form():
+    # the Bessel determinant tends to the power-basis one over 2 nu
     P = 60
     ctx = context(P)
-    closed = normalized_solution("psi", F(3, 2), 1, F(1, 2), 0, P)
-    small = normalized_solution("psi", F(3, 2), 1, F(1, 2), ctx.mpf("1e-14"), P)
-    assert abs(small - closed) < ctx.mpf("1e-25")
+    for variant in ("psi2", "phi2", "psi0", "phi0"):
+        small = det_ratio_truncated(variant, F(3, 2), 1, ctx.mpf("1e-14"), F(1, 2), P)
+        assert abs(small - 1) < ctx.mpf("1e-25"), variant
 
 
 def test_full_cone_ratios_small_z_and_psi0_phi0_equal():

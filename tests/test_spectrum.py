@@ -16,11 +16,11 @@ from conetorsion.spectrum import (
     nu_stream,
     read_spectrum_file,
     sphere,
-    sphere_multiplicity,
     sphere_multiplicity_polynomial,
     torus,
     write_spectrum_file,
 )
+from oracles import sphere_multiplicity
 
 F = Fraction
 
