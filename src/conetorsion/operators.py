@@ -26,9 +26,11 @@ determinants on a Bessel basis divided by their z -> 0 limit (the
 boundary-value determinant formula), not transcriptions of the equivalent
 displayed Bessel-quotient forms; the displays and the full-cone closed forms
 are the tests' cross-checks (tests/oracles.py).  A brute-force
-eigenvalue oracle (dense scan + argument-principle count verification +
-bracketed refinement) validates both routes and the absolute harmonic-sector
-determinant 2 eps^(k - n/2).
+eigenvalue oracle validates both routes and the absolute harmonic-sector
+determinant 2 eps^(k - n/2): a dense sign scan, one vectorised Brent pass
+(scipy's brentq, step for step, on every bracket at once), and an
+argument-principle count on a contour symmetric under conjugation, so F is
+evaluated on its lower half only.
 
 Derivatives come from the one-sided recurrences, two Bessel evaluations per
 function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y in the oracle,
@@ -75,7 +77,6 @@ class _Deferred:
 
 np = _Deferred("numpy")
 _sp = _Deferred("scipy.special")
-_optimize = _Deferred("scipy.optimize")
 
 VARIANTS = ("psi2", "phi2", "psi0", "phi0", "h0")
 
@@ -403,30 +404,85 @@ def _eigen_condition(op: ModelOperator):
 
 def _winding_count(op: ModelOperator, mu_lo: float, mu_hi: float, samples: int) -> int:
     """Zeros of the eigencondition inside a thin rectangle around [mu_lo, mu_hi],
-    counted by the argument principle (phase tracking along the boundary)."""
+    counted by the argument principle (phase tracking along the boundary).
+
+    nu, x0 and beta are real and Re mu >= mu_lo > 0 keeps the contour off the
+    branch cut, so F(conj mu) = conj F(mu) (Schwarz reflection).  F is
+    evaluated on the lower half only: from mu_lo down, along the bottom side
+    and up the right side to the axis; the upper half is its mirror image.
+    """
     delta = (mu_hi - mu_lo) / samples * 6.0
     t = np.linspace(0, 1, samples)
     s = np.linspace(-1, 1, 60)
     path = np.concatenate([
+        mu_lo - 1j * delta * s[30:],
         mu_lo + (mu_hi - mu_lo) * t - 1j * delta,
-        mu_hi + 1j * delta * s,
-        mu_hi + (mu_lo - mu_hi) * t + 1j * delta,
-        mu_lo - 1j * delta * s,
+        mu_hi + 1j * delta * s[:30],
     ])
     vals = _eigen_condition(op)(path)
     if np.any(vals == 0) or np.any(~np.isfinite(vals)):
         raise RootIsolationError("argument-principle contour hit a zero or overflow")
-    phases = np.unwrap(np.angle(vals))
+    phases = np.unwrap(np.angle(np.concatenate([vals, vals[::-1].conj()])))
     w = (phases[-1] - phases[0]) / (2 * math.pi)
     return int(round(w))
+
+
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-13, 8.9e-16, 200
+
+
+def _brent_roots(F, xa, xb, fa, fb):
+    """Roots of F in the brackets [xa, xb], with F = fa, fb of opposite signs there.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973) as
+    scipy's brentq has it in scipy/optimize/Zeros/brentq.c, transcribed step
+    for step onto arrays, so each root is the one brentq returns for its
+    bracket at the same tolerances.  F is called once per iteration, on the
+    brackets still open.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk, fblk, spre, scur = (np.zeros_like(xa) for _ in range(4))
+    roots = np.empty_like(xa)
+    todo = np.arange(len(xa))
+    for _ in range(_BRENT_MAXITER):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        roots[todo[done]] = xcur[done]
+        if done.all():
+            return roots
+        keep = ~done
+        todo, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            a[keep] for a in (todo, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),   # interpolate
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)   # else bisect
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = F(xcur)
+    raise RootIsolationError(f"{len(todo)} brackets not refined in {_BRENT_MAXITER} iterations")
 
 
 def eigenvalues_oracle(op: ModelOperator, count: int, verify_winding: bool = True):
     """First `count` eigenvalues lambda_i = mu_i^2 of the model operator.
 
-    Dense sign scan at roughly twelve samples per expected spacing, brentq
-    refinement, strict-interlacing check, and (for the two-endpoint case)
-    an argument-principle winding count certifying that no root was missed.
+    Dense sign scan at roughly twelve samples per expected spacing, one
+    vectorised Brent pass refining the first count + 2 brackets together,
+    strict-interlacing check, and (for the two-endpoint case) an
+    argument-principle winding count on the conjugate-symmetric contour
+    certifying that no root was missed.
     """
     if count > 500:
         raise ValueError("oracle supports count <= 500")
@@ -439,13 +495,8 @@ def eigenvalues_oracle(op: ModelOperator, count: int, verify_winding: bool = Tru
     if np.any(~np.isfinite(vals)):
         raise RootIsolationError("eigencondition overflowed on the scan grid")
     sgn = np.sign(vals)
-    idx = np.where(sgn[:-1] * sgn[1:] < 0)[0]
-    roots = []
-    for i in idx:
-        roots.append(_optimize.brentq(F, grid[i], grid[i + 1],
-                                      xtol=1e-13, rtol=8.9e-16, maxiter=200))
-        if len(roots) >= count + 2:
-            break
+    idx = np.where(sgn[:-1] * sgn[1:] < 0)[0][:count + 2]
+    roots = _brent_roots(F, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]).tolist()
     if len(roots) < count:
         raise RootIsolationError(
             f"found only {len(roots)} roots below mu = {mu_max:.1f}; widen the scan")
@@ -489,17 +540,21 @@ def _log_product_estimate(lam: np.ndarray, length: float, w2: float) -> float:
     return logprod + w2 * sum_inv2 - 0.5 * w2 ** 2 * sum_inv4
 
 
-def det_ratio_oracle(op: ModelOperator, z, count: int = 240):
+def det_ratio_oracle(op: ModelOperator, z, count: int = 240, eigenvalues=None):
     """Eigenvalue-product estimate of det(L + nu^2 z^2)/det(L).
 
     The value prod_i (1 + (nu z)^2 / lambda_i) with a fitted tail, Richardson
     extrapolated in the truncation length (the systematic tail-model error
     scales like 1/M^2).  Double precision; ~1e-8 relative at count = 240,
-    backing the 1e-6 oracle comparisons.
+    backing the 1e-6 oracle comparisons.  `eigenvalues`, when given, are the
+    operator's first eigenvalues (as from eigenvalues_oracle) and stand in
+    for the `count` it would compute.
     """
-    lam = np.array(eigenvalues_oracle(op, count))
+    if eigenvalues is None:
+        eigenvalues = eigenvalues_oracle(op, count)
+    lam = np.asarray(eigenvalues, dtype=float)
     w2 = (float(op.nu) * float(z)) ** 2
-    l_half = _log_product_estimate(lam[: count // 2], op.length, w2)
+    l_half = _log_product_estimate(lam[: len(lam) // 2], op.length, w2)
     l_full = _log_product_estimate(lam, op.length, w2)
     return math.exp(l_full + (l_full - l_half) / 3.0)
 

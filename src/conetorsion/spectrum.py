@@ -206,27 +206,25 @@ def _sphere_lines(M: BaseManifold, k: int, cutoff: Fraction) -> list:
 # Flat cubic tori
 
 
-# The count keeps lists of qmax + 1 entries and takes O(n qmax^2) steps.
+# The count keeps lists of qmax + 1 entries and takes O(n qmax^1.5) steps.
 _MAX_LATTICE_NORM = 10 ** 6
 
 
 def _sum_of_squares_counts(n: int, qmax: int) -> list:
     """counts[q] = #{m in Z^n : |m|^2 = q} for q = 0..qmax, by convolution."""
-    base = [0] * (qmax + 1)
-    base[0] = 1
-    j = 1
-    while j * j <= qmax:
-        base[j * j] = 2
-        j += 1
-    counts = base[:]
+    squares = [(j * j, 2 if j else 1) for j in range(math.isqrt(qmax) + 1)]
+    counts = [0] * (qmax + 1)
+    for q, c in squares:
+        counts[q] = c
     for _ in range(n - 1):
         nxt = [0] * (qmax + 1)
         for q1, c1 in enumerate(counts):
             if c1 == 0:
                 continue
-            for q2 in range(0, qmax - q1 + 1):
-                if base[q2]:
-                    nxt[q1 + q2] += c1 * base[q2]
+            for q2, c2 in squares:
+                if q1 + q2 > qmax:
+                    break
+                nxt[q1 + q2] += c1 * c2
         counts = nxt
     return counts
 

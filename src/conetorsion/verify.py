@@ -89,9 +89,10 @@ def check_det_ratios(grid: str = "small", P: int = 40):
             for A in g["A"]:
                 for eps in g["eps"]:
                     op = operators.ModelOperator(variant, float(nu), A, eps)
+                    lam = operators.eigenvalues_oracle(op, g["count"])
                     for z in g["z"]:
                         closed = operators.det_ratio_truncated(variant, nu, A, z, eps, P)
-                        oracle = operators.det_ratio_oracle(op, float(z), count=g["count"])
+                        oracle = operators.det_ratio_oracle(op, float(z), eigenvalues=lam)
                         gap = abs(float(closed) - oracle) / abs(float(closed))
                         if gap > worst:
                             worst, worst_at = gap, (variant, str(nu), str(A), str(eps), str(z))
@@ -102,11 +103,14 @@ def check_harmonic_determinants():
     """Closed form 2 eps^(k-n/2) vs the numerical zeta-determinant oracle, <= 1e-8."""
     worst = 0.0
     worst_at = None
+    oracles = {}  # (k, n) = (0, 1), (1, 3) and (1, 1), (2, 3) share an operator
     for n in (1, 3):
         for k in range(n + 1):
             for eps in (Fraction(1, 2), Fraction(1, 4)):
                 op = operators.harmonic_operator(k, n, eps)
-                oracle = operators.zeta_det_oracle(op, count=320)
+                if op not in oracles:
+                    oracles[op] = operators.zeta_det_oracle(op, count=320)
+                oracle = oracles[op]
                 closed = float(operators.h_det(k, n, eps, 30))
                 gap = abs(closed - oracle) / closed
                 if gap > worst:

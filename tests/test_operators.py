@@ -251,6 +251,61 @@ def test_winding_count_certifies_bracketed_roots(op):
     np.testing.assert_allclose(at_once, two_sided, rtol=1e-10, atol=0)
 
 
+HTRUNC_OPERATORS = sorted({harmonic_operator(k, n, eps) for n in (1, 3) for k in range(n + 1)
+                           for eps in (F(1, 2), F(1, 4))}, key=repr)
+BRENT_OPERATORS = WINDING_OPERATORS + [op for op in HTRUNC_OPERATORS
+                                       if op not in WINDING_OPERATORS]
+
+
+def _scan_brackets(op, count):
+    """The sign-change brackets of the oracle's scan and F at their ends."""
+    F_op = operators._eigen_condition(op)
+    spacing = math.pi / op.length
+    grid = np.linspace(spacing * 1e-3, spacing * (count + 3) + 2.0 * op.nu + 10.0,
+                       (count + 5) * 16 + 200)
+    vals = F_op(grid)
+    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][:count + 2]
+    return F_op, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
+
+
+def _brentq(F_op, xa, xb):
+    """scipy's scalar brentq, bracket by bracket, at the oracle's tolerances."""
+    from scipy.optimize import brentq
+    return [brentq(F_op, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=200) for a, b in zip(xa, xb)]
+
+
+@pytest.mark.parametrize("op", BRENT_OPERATORS, ids=lambda op: f"{op.variant}-{op.A}-{op.eps}")
+def test_brent_pass_matches_scipy_brentq(op):
+    count = 320
+    F_op, xa, xb, fa, fb = _scan_brackets(op, count)
+    assert len(xa) == count + 2
+    want = _brentq(F_op, xa, xb)
+    assert operators._brent_roots(F_op, xa, xb, fa, fb).tolist() == want
+    assert eigenvalues_oracle(op, count) == [r * r for r in sorted(want)[:count]]
+
+
+# a triple root, an infinite slope, a steep and a wiggly one: each takes every branch
+HARD_FUNCTIONS = [lambda x: np.sin(x) ** 3, lambda x: np.cbrt(np.sin(x)),
+                  lambda x: np.sin(x) * np.exp(3 * np.cos(x)),
+                  lambda x: np.sin(x) + 0.9 * np.sin(3 * x) ** 5]
+
+
+@pytest.mark.parametrize("f", HARD_FUNCTIONS)
+def test_brent_pass_matches_scipy_brentq_on_hard_brackets(f):
+    rng = np.random.default_rng(1)
+    k = np.arange(1, 41)
+    xa = k * np.pi - rng.uniform(0.01, 1.5, k.size)
+    xb = k * np.pi + rng.uniform(0.01, 1.5, k.size)
+    assert operators._brent_roots(f, xa, xb, f(xa), f(xb)).tolist() == _brentq(f, xa, xb)
+
+
+def test_brent_pass_raises_when_a_bracket_does_not_converge(monkeypatch):
+    F_op, xa, xb, fa, fb = _scan_brackets(WINDING_OPERATORS[0], 10)
+    monkeypatch.setattr(operators, "_BRENT_MAXITER", 2)
+    with pytest.raises(RootIsolationError, match="not refined in 2 iterations"):
+        operators._brent_roots(F_op, xa, xb, fa, fb)
+
+
 @pytest.mark.parametrize("nu", [F(1, 2), F(3, 2), 20, 80])
 def test_bessel_pack_recurrence_derivatives(nu):
     P = 50

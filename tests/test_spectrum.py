@@ -1,5 +1,8 @@
 """Base spectra: closed families, duality, growth, file round trips."""
 
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -127,6 +130,14 @@ def test_torus_counts():
     # coclosed k-forms carry binom(n-1,k) copies per lattice point
     ones = {ln.eta: ln.mult for ln in coclosed_spectrum(T3, 1, 3)}
     assert ones[F(1)] == 12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sum_of_squares_counts_match_enumeration(n):
+    qmax = 60
+    side = range(-math.isqrt(qmax), math.isqrt(qmax) + 1)
+    brute = Counter(sum(c * c for c in m) for m in itertools.product(side, repeat=n))
+    assert spectrum._sum_of_squares_counts(n, qmax) == [brute[q] for q in range(qmax + 1)]
 
 
 def test_torus_scale():
