@@ -4,8 +4,9 @@ The uniform expansions of I_nu(nu z) and K_nu(nu z) for large order carry
 polynomial coefficients u_r(t), v_r(t) in the variable t = (1 + z^2)^(-1/2).
 Taking formal logarithms of the bracketed series produces two further
 families D_r(t) and M_r(t, A) (the latter with an affine shift parameter A
-mixing the u- and v-series), whose coefficient arrays x_{r,b} and z_{r,b}(A)
-on the exponent ladder t^{r+2b} feed the residue combinations downstream.
+mixing the u- and v-series), whose coefficients x_{r,b} and z_{r,b}(A) of
+t^{r+2b} feed the residue combinations downstream.  The four families are
+built once, one index at a time, in one memo.
 
 Everything in this module is exact rational arithmetic; floating point only
 appears when a finished polynomial is evaluated at a numeric point.  The
@@ -17,15 +18,15 @@ Generation rules:
 * u_0 = v_0 = 1,
   u_{r+1}(t) = (1/2) t^2 (1 - t^2) u_r'(t) + (1/8) \\int_0^t (1 - 5 s^2) u_r(s) ds,
   v_{r+1}(t) = u_{r+1}(t) + t (t^2 - 1) ( u_r(t)/2 + t u_r'(t) ).
-  These are the standard recurrences for the uniform expansions; they are
-  validated numerically (fit against high-order Bessel values) in the test
-  suite before anything downstream trusts them.
+  These standard recurrences are validated numerically (fit against
+  high-order Bessel values) in the tests before anything downstream trusts them.
 * log(1 + sum_r u_r x^r) = sum_r D_r x^r as a formal power series.
 * log[(1 + sum_r v_r x^r) + A t x (1 + sum_r u_r x^r)] = sum_r M_r(t, A) x^r.
 
-Identities relied on downstream (all tested exactly):
-M_r(1, A) = D_r(1) - (-A)^r / r, and the vanishing of
-sum_b [2 x_{2r+1,b} - z_{2r+1,b}(-A) - z_{2r+1,b}(A)] for every odd index.
+Identities relied on downstream (all tested exactly): M_r(1, A) = D_r(1) - (-A)^r / r,
+and the residual bracket 2 x_{R,b} - z_{R,b}(-A) - z_{R,b}(A), R = 2r+1, which
+is minus the odd-index large-order coefficient (of t^{R+2b} in
+large_nu_term(R, A)), sums to zero over b.
 """
 
 from __future__ import annotations
@@ -146,130 +147,100 @@ class Polynomial:
 
 
 _ONE = Polynomial({(0,): 1})
-
-# Generated families, memoised behind a lock so concurrent first use is safe.
-_cache_lock = threading.Lock()
-_u: list[Polynomial] = [_ONE]
-_v: list[Polynomial] = [_ONE]
-_d: dict[int, Polynomial] = {}
-_m: dict[int, Polynomial] = {}
-
 _T = Polynomial({(1,): 1})                      # t
 _W_U = Polynomial({(2,): 1, (4,): -1})          # t^2 (1 - t^2)
 _G_U = Polynomial({(0,): 1, (2,): -5})          # 1 - 5 s^2
 _W_V = Polynomial({(3,): 1, (1,): -1})          # t (t^2 - 1)
 
+# The generated families u_r, v_r, D_r, M_r at index r (D_0 = M_0 = 0), behind one lock.
+_cache_lock = threading.Lock()
+_u: list[Polynomial] = [_ONE]
+_v: list[Polynomial] = [_ONE]
+_d: list[Polynomial] = [Polynomial({}, 1)]
+_m: list[Polynomial] = [Polynomial({}, 2)]
 
-def _extend_uv(r: int) -> None:
+
+def _next_uv(u: Polynomial):
+    """(u_{r+1}, v_{r+1}) from u_r by the recurrences above."""
+    nxt = _W_U * u.derivative()
+    nxt = nxt.scale(Fraction(1, 2)) + (_G_U * u).integral_from_zero().scale(Fraction(1, 8))
+    transfer = u.scale(Fraction(1, 2)) + _T * u.derivative()
+    return nxt, nxt + _W_V * transfer
+
+
+def _w(v: Polynomial, u: Polynomial) -> Polynomial:
+    """v(t) + A t u(t) in (t, A): the coefficient v_r + A t u_{r-1} of the M-series."""
+    return Polynomial({**{(e, 0): c for (e,), c in v.coeffs.items()},
+                       **{(e + 1, 1): c for (e,), c in u.coeffs.items()}}, 2)
+
+
+def _log_coefficient(newest: Polynomial, coeff_at, logs: list) -> Polynomial:
+    """Formal-log coefficient l_r of 1 + sum c_i x^i, r = len(logs), from l_j = logs[j].
+
+    Uses r*c_r = sum_{j=1}^r j*l_j*c_{r-j}, with c_r = `newest`, c_i = coeff_at(i) for i < r.
+    """
+    r = len(logs)
+    acc = newest.scale(r)
+    for j in range(1, r):
+        acc = acc + (logs[j] * coeff_at(r - j)).scale(-j)
+    return acc.scale(Fraction(1, r))
+
+
+def _extend(r: int) -> None:
+    """Grow u, v, D and M together up to index r; the caller holds the lock.
+
+    A new D_i or M_i with a t-exponent off the ladder {i + 2b : 0 <= b <= i}
+    raises StructureError (a recursion transcription bug) and nothing is stored.
+    """
     while len(_u) <= r:
-        u = _u[-1]
-        nxt = _W_U * u.derivative()
-        nxt = nxt.scale(Fraction(1, 2)) + (_G_U * u).integral_from_zero().scale(Fraction(1, 8))
-        _u.append(nxt)
-        transfer = u.scale(Fraction(1, 2)) + _T * u.derivative()
-        _v.append(nxt + _W_V * transfer)
+        i = len(_u)
+        u, v = _next_uv(_u[-1])
+        d = _log_coefficient(u, _u.__getitem__, _d)
+        m = _log_coefficient(_w(v, _u[-1]), lambda k: _w(_v[k], _u[k - 1]), _m)
+        for name, p in (("D", d), ("M", m)):
+            off = {k[0] for k in p.coeffs}.difference(range(i, 3 * i + 1, 2))
+            if off:
+                raise StructureError(f"{name}_{i} has exponents {sorted(off)} off the ladder")
+        for family, p in zip((_u, _v, _d, _m), (u, v, d, m)):
+            family.append(p)
+
+
+def _lookup(family: list, r: int, lowest: int) -> Polynomial:
+    if r < lowest:
+        raise ValueError(f"r must be >= {lowest}")
+    with _cache_lock:
+        _extend(r)
+        return family[r]
 
 
 def u_poly(r: int) -> Polynomial:
     """Coefficient polynomial u_r(t) of the large-order expansion of I/K."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    with _cache_lock:
-        _extend_uv(r)
-        return _u[r]
+    return _lookup(_u, r, 0)
 
 
 def v_poly(r: int) -> Polynomial:
     """Coefficient polynomial v_r(t) of the large-order expansion of I'/K'."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    with _cache_lock:
-        _extend_uv(r)
-        return _v[r]
-
-
-def _series_log_t(coeff_at, rmax: int) -> list:
-    """Formal-log coefficients l_r of 1 + sum c_r x^r, coefficients in a ring.
-
-    Uses r*c_r = sum_{j=1}^r j*l_j*c_{r-j}; coeff_at(0) must be the ring unit.
-    """
-    l = [None] * (rmax + 1)
-    for r in range(1, rmax + 1):
-        acc = coeff_at(r).scale(r)
-        for j in range(1, r):
-            acc = acc + (l[j] * coeff_at(r - j)).scale(-j)
-        l[r] = acc.scale(Fraction(1, r))
-    return l
+    return _lookup(_v, r, 0)
 
 
 def d_poly(r: int) -> Polynomial:
     """Formal-log coefficient D_r(t) of the u-series."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    with _cache_lock:
-        if r not in _d:
-            _extend_uv(r)
-            logs = _series_log_t(lambda i: _u[i], r)
-            for i in range(1, r + 1):
-                _d.setdefault(i, logs[i])
-        return _d[r]
+    return _lookup(_d, r, 1)
 
 
 def m_poly(r: int) -> Polynomial:
-    """Formal-log coefficient M_r(t, A) of the combined v-series + A t x u-series.
-
-    A polynomial in the two variables (t, A).
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    with _cache_lock:
-        if r not in _m:
-            _extend_uv(r)
-
-            def wcoeff(i):
-                if i == 0:
-                    return Polynomial({(0, 0): 1})
-                # v_i(t) + A t u_{i-1}(t)
-                return Polynomial({**{(e, 0): c for (e,), c in _v[i].coeffs.items()},
-                                   **{(e + 1, 1): c for (e,), c in _u[i - 1].coeffs.items()}}, 2)
-
-            logs = _series_log_t(wcoeff, r)
-            for i in range(1, r + 1):
-                _m.setdefault(i, logs[i])
-        return _m[r]
-
-
-def xz_coefficients(r: int):
-    """Arrays x_{r,b} and z_{r,b}(A) on the exponent ladder {r+2b : 0 <= b <= r}.
-
-    Returns (xs, zs) with xs[b] a Fraction and zs[b] a polynomial in A.
-    Raises StructureError if a generated polynomial has support off the ladder,
-    which would signal a recursion transcription bug.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    d = d_poly(r)
-    m = m_poly(r)
-    ladder = [r + 2 * b for b in range(r + 1)]
-    off_d = {e for (e,) in d.coeffs}.difference(ladder)
-    off_m = {e for e, _a in m.coeffs}.difference(ladder)
-    if off_d:
-        raise StructureError(f"D_{r} has exponents {sorted(off_d)} off the ladder")
-    if off_m:
-        raise StructureError(f"M_{r} has exponents {sorted(off_m)} off the ladder")
-    xs = [d.coeffs.get((e,), Fraction(0)) for e in ladder]
-    zs = [Polynomial({(a,): c for (t, a), c in m.coeffs.items() if t == e}, 1) for e in ladder]
-    return xs, zs
+    """Formal-log coefficient M_r(t, A) of the combined v-series + A t x u-series."""
+    return _lookup(_m, r, 1)
 
 
 def residual_bracket(r: int, A) -> list:
-    """The combinations 2 x_{2r+1,b} - z_{2r+1,b}(-A) - z_{2r+1,b}(A), b = 0..2r+1.
+    """2 x_{R,b} - z_{R,b}(-A) - z_{R,b}(A), b = 0..R, R = 2r+1, as exact Fractions.
 
-    Exact Fractions; their sum over b vanishes for every r (tested).
+    Minus the t^{R+2b} coefficients of large_nu_term(R, A), whose shift constant is 0 at odd R.
     """
-    A = Fraction(A)
-    xs, zs = xz_coefficients(2 * r + 1)
-    return [2 * x - z.substitute(0, A) - z.substitute(0, -A) for x, z in zip(xs, zs)]
+    R = 2 * r + 1
+    p = large_nu_term(R, A)
+    return [-p.coeffs.get((R + 2 * b,), Fraction(0)) for b in range(R + 1)]
 
 
 def large_nu_term(r: int, A) -> Polynomial:
@@ -282,4 +253,3 @@ def large_nu_term(r: int, A) -> Polynomial:
     m = m_poly(r)
     return (d_poly(r).scale(-2) + m.substitute(1, A) + m.substitute(1, -A)
             + Polynomial({(0,): (A ** r + (-A) ** r) / r}))
-

@@ -280,8 +280,8 @@ def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
 def t_function(k: int, n: int, nu, eps, lam, P: int = DEFAULT_DPS):
     """The eight-log combination t(lam) entering the regularized trace per frequency.
 
-    Vanishes at lam = 0 (evaluated there through the exact small-argument
-    limits, which is also where the eps-dependence cancels), grows like
+    Tends to 0 as lam -> 0, where the eps-dependence cancels (lam = 0 itself,
+    the end of the branch cut, raises DomainError), grows like
     log(-lam) + b with b = 2 log eps - log(1 - A^2/nu^2), and admits the
     large-order expansion with the coefficients of olver.large_nu_term.
     """
@@ -298,18 +298,9 @@ def t_function(k: int, n: int, nu, eps, lam, P: int = DEFAULT_DPS):
     if nu_m <= abs(A_m):
         raise DomainError("frequencies satisfy nu > |A|")
 
-    if lam == 0:
-        # exact small-argument limits: the z-divergent pieces cancel in the
-        # five-term group, the remaining quotient groups tend to eps^(2 nu)
-        # with weights +2 - 2.
-        five = (ctx.log(nu_m + A_m) + ctx.log(nu_m - A_m) - 2 * ctx.log(nu_m)
-                - ctx.log(1 - A_m ** 2 / nu_m ** 2))
-        q = ctx.log(1 - eps_m ** (2 * nu_m))
-        return five + (-q - q + q + q)
-
     lam_m = to_complex(lam, P, ctx)
-    if lam_m.imag == 0 and lam_m.real > 0:
-        raise DomainError("lam on the positive real axis lies on the branch cut")
+    if lam_m.imag == 0 and lam_m.real >= 0:
+        raise DomainError("lam on [0, +inf), the branch cut of sqrt(-lam) and its end point")
     w = nu_m * ctx.sqrt(-lam_m)
     I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w)
     Ie, Ipe, Ke, Kpe = _bessel_pack(ctx, nu_m, w * eps_m)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,13 +108,22 @@ class BaseManifold:
 
     @property
     def name(self) -> str:
+        """The shortest `--base` spec that reads back to this base, e.g. torus:3:1:4.
+
+        A scale text longer than 20 characters is rounded to 17 digits in float style (1e-300).
+        """
         if self.label:
             return self.label
-        if self.kind == "sphere":
-            return f"sphere:{self.n}"
-        if self.kind == "torus":
-            return f"torus:{self.n}" + (f":{self.scale}" if self.scale != 1 else "")
-        return "file"
+        if self.kind == "file":
+            return "file"
+        scale = str(self.scale)
+        if len(scale) > 20:
+            scale = str(Context(prec=17).divide(self.scale.numerator, self.scale.denominator)
+                        .normalize()).lower()
+        fields = [self.kind, str(self.n), str(self.rank), scale]
+        while len(fields) > 2 and fields[-1] == "1":
+            fields.pop()
+        return ":".join(fields)
 
     def degree(self, k: int) -> DegreeData:
         return DegreeData(k, self.n)
@@ -206,8 +216,18 @@ def _sphere_lines(M: BaseManifold, k: int, cutoff: Fraction) -> list:
 # Flat cubic tori
 
 
-# The count keeps lists of qmax + 1 entries and takes O(n qmax^1.5) steps.
-_MAX_LATTICE_NORM = 10 ** 6
+# The count keeps lists of qmax + 1 entries and takes about (n - 1) qmax^1.5
+# steps of 1e-8 to 1e-7 s each; a count past this many steps is refused.  That
+# allows qmax = 29,240 at n = 3 and 14,057 at n = 7, under a second each.
+_MAX_LATTICE_STEPS = 10 ** 7
+
+
+def _max_lattice_norm(n: int) -> int:
+    """The largest qmax whose count in dimension n fits in _MAX_LATTICE_STEPS steps.
+
+    At n = 1 there is no convolution round, and only the list length is capped.
+    """
+    return 10 ** 6 if n == 1 else int((_MAX_LATTICE_STEPS / (n - 1)) ** (2 / 3))
 
 
 def _sum_of_squares_counts(n: int, qmax: int) -> list:
@@ -238,10 +258,11 @@ def _torus_lines(M: BaseManifold, k: int, cutoff: Fraction) -> list:
     if cutoff ** 2 <= A2:
         return []
     qmax = int((cutoff ** 2 - A2) / M.scale)
-    if qmax > _MAX_LATTICE_NORM:
+    limit = _max_lattice_norm(n)
+    if qmax > limit:
         raise UnsupportedManifoldError(
             f"{M.name}: the cutoff needs lattice norms |m|^2 up to about 2^{qmax.bit_length()}, "
-            f"beyond the {_MAX_LATTICE_NORM} that the lattice count supports")
+            f"beyond the {limit} that the lattice count supports in dimension {n}")
     per_point = M.rank * math.comb(n - 1, k)
     counts = _sum_of_squares_counts(n, qmax)
     out = []

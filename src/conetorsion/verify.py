@@ -119,7 +119,7 @@ def check_harmonic_determinants():
 
 
 def check_zero_argument_cancellation(P: int = 50):
-    """|t(lam = 0)| <= 1e-20 over nine parameter combinations."""
+    """|t(lam)| <= 1e-20 at lam = -1e-30, next to the limit point 0, over nine combinations."""
     combos = [
         (0, 1, Fraction(3, 2), Fraction(1, 2)),
         (0, 1, Fraction(5, 2), Fraction(1, 3)),
@@ -133,8 +133,9 @@ def check_zero_argument_cancellation(P: int = 50):
     ]
     ctx = context(P)
     worst = ctx.mpf(0)
+    lam = Fraction(-1, 10 ** 30)
     for k, n, nu, eps in combos:
-        worst = max(worst, abs(operators.t_function(k, n, nu, eps, 0, P)))
+        worst = max(worst, abs(operators.t_function(k, n, nu, eps, lam, P)))
     tol = ctx.mpf(10) ** -20
     return _result("propp", worst <= tol, worst, tol, {"combinations": len(combos)})
 

@@ -17,7 +17,7 @@ CRITERIA = [
     (3, "detratio", {"grid": "small"},
      "truncated determinant ratios vs eigenvalue products <= 1e-6 on a 3x3x3x2 grid"),
     (4, "htrunc", {}, "harmonic determinant 2 eps^(k-n/2) vs zeta-det oracle <= 1e-8"),
-    (5, "propp", {}, "|t(0)| <= 1e-20 for nine parameter combinations"),
+    (5, "propp", {}, "|t(-1e-30)| <= 1e-20 for nine parameter combinations"),
     (6, "propab", {}, "large-argument log-log slope -1/2 +- 0.1"),
     (7, "largenu", {}, "large-order remainder order R+1 +- 0.2 for R = 1..4"),
     (8, "epscancel", {}, "torsion difference eps-independent to 1e-10 (S1, S3)"),

@@ -93,6 +93,22 @@ def test_parse_base():
         parse_base("sphere:x")
 
 
+@pytest.mark.parametrize("spec,name", [
+    ("sphere:1", "sphere:1"), ("sphere:3:1", "sphere:3"), ("sphere:5:2", "sphere:5:2"),
+    ("torus:3", "torus:3"), ("torus:3:1:1", "torus:3"), ("torus:5:3", "torus:5:3"),
+    ("torus:3:1:4", "torus:3:1:4"), ("torus:3:2:1/4", "torus:3:2:1/4"),
+    ("torus:7:1:0.25", "torus:7:1:1/4"), ("torus:3:2:2/1", "torus:3:2:2"),
+    # scales whose exact text is longer than 20 characters
+    ("torus:3:1:1e-300", "torus:3:1:1e-300"), ("torus:3:1:1e400", "torus:3:1:1e+400"),
+])
+def test_base_name_is_the_shortest_spec_that_reads_back(spec, name):
+    M = parse_base(spec)
+    assert M.name == name
+    assert parse_base(name) == M
+    fields = name.split(":")
+    assert all(parse_base(":".join(fields[:i])) != M for i in range(2, len(fields)))
+
+
 def test_torsion_sphere1(capsys):
     code, out, _ = run(capsys, "torsion", "--base", "sphere:1", "--precision", "30")
     assert code == 0
@@ -217,6 +233,9 @@ def test_scaling_suite_reports_an_odd_scale_power(monkeypatch, capsys):
     # lattice norms past what the torus lattice count can list
     ("spectrum", "--base", "torus:3", "--cutoff", "1e400"),
     ("spectrum", "--base", "torus:3:1:1e-300", "--cutoff", "20"),
+    # the lattice count's step budget refuses these at once
+    ("spectrum", "--base", "torus:3", "--cutoff", "1000"),
+    ("spectrum", "--base", "torus:7", "--cutoff", "1000"),
 ])
 def test_malformed_numbers_are_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

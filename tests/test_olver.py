@@ -14,13 +14,13 @@ import pytest
 from conetorsion import olver
 from conetorsion.olver import (
     Polynomial,
+    StructureError,
     d_poly,
     large_nu_term,
     m_poly,
     residual_bracket,
     u_poly,
     v_poly,
-    xz_coefficients,
 )
 
 F = Fraction
@@ -107,16 +107,60 @@ def test_support_ladder():
 
 
 def test_xz_first_index():
-    xs, zs = xz_coefficients(1)
-    assert xs == [F(1, 8), F(-5, 24)]
-    assert zs[0] == Polynomial({(0,): F(-3, 8), (1,): F(1)})
-    assert zs[1] == Polynomial({(0,): F(7, 24)})
+    # x_{1,b} on t^1, t^3; z_{1,0}(A) = -3/8 + A and z_{1,1} = 7/24
+    assert d_poly(1) == Polynomial({(1,): F(1, 8), (3,): F(-5, 24)})
+    assert m_poly(1) == Polynomial({(1, 0): F(-3, 8), (1, 1): F(1), (3, 0): F(7, 24)})
 
 
 @pytest.mark.parametrize("A", [F(0), F(1), F(-2), F(7, 2)])
 def test_odd_sum_rule(A):
     for r in range(1, 5):
         assert sum(residual_bracket(r, A)) == 0
+
+
+@pytest.mark.parametrize("A", [F(0), F(1), F(-2), F(7, 2)])
+def test_residual_bracket_from_d_and_m_coefficients(A):
+    """2 x_{R,b} - z_{R,b}(-A) - z_{R,b}(A), R = 2r+1, read off the D_R and M_R coefficient dicts."""
+    for r in range(1, 5):
+        R = 2 * r + 1
+        d, m = d_poly(R).coeffs, m_poly(R).coeffs
+
+        def z(e, a):
+            return sum(c * a ** k for (t, k), c in m.items() if t == e)
+
+        want = [2 * d.get((R + 2 * b,), 0) - z(R + 2 * b, -A) - z(R + 2 * b, A)
+                for b in range(R + 1)]
+        assert residual_bracket(r, A) == want
+
+
+@pytest.fixture
+def cleared_caches():
+    """Empty the generated families down to index 0 before and after the test."""
+    def clear():
+        for family in (olver._u, olver._v, olver._d, olver._m):
+            del family[1:]
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("stray_u, stray_v, message", [
+    (Polynomial({(0,): 1}), Polynomial({}, 1), r"D_1 has exponents \[0\] off the ladder"),
+    (Polynomial({}, 1), Polynomial({(2,): 1}), r"M_1 has exponents \[2\] off the ladder"),
+], ids=["D", "M"])
+def test_structure_error_when_a_family_leaves_its_ladder(
+        monkeypatch, cleared_caches, stray_u, stray_v, message):
+    real = olver._next_uv
+
+    def broken(u):
+        nxt_u, nxt_v = real(u)
+        return nxt_u + stray_u, nxt_v + stray_v
+
+    monkeypatch.setattr(olver, "_next_uv", broken)
+    with pytest.raises(StructureError, match=message):
+        u_poly(1)
+    # nothing of the failed index is stored
+    assert [len(f) for f in (olver._u, olver._v, olver._d, olver._m)] == [1, 1, 1, 1]
 
 
 def test_large_nu_term_constant_part():
@@ -164,10 +208,8 @@ def test_ring_rejects_mixed_arity():
         Polynomial({(1,): 1, (1, 1): 1})
 
 
-def test_cache_thread_safety():
+def test_cache_thread_safety(cleared_caches):
     import threading
-    olver._d.clear()
-    olver._m.clear()
     results = []
 
     def work():

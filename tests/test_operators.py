@@ -98,11 +98,16 @@ def test_t_function_forms_agree():
 
 
 def test_t_function_zero_argument():
+    """t(lam) -> 0 linearly as lam -> 0-, through the general formula; lam = 0 raises."""
     P = 50
     ctx = context(P)
-    assert abs(t_function(0, 3, F(5, 2), F(1, 3), 0, P)) < ctx.mpf(10) ** -40
+    with pytest.raises(DomainError):
+        t_function(0, 3, F(5, 2), F(1, 3), 0, P)
     # continuity toward the limit
     assert abs(t_function(0, 3, F(5, 2), F(1, 3), ctx.mpf("-1e-20"), P)) < ctx.mpf("1e-19")
+    # t(lam) / lam is the same at lam = -1e-30 and -1e-40
+    slopes = [t_function(0, 3, F(5, 2), F(1, 3), F(-1, 10 ** e), P) * 10 ** e for e in (30, 40)]
+    assert abs(slopes[0] - slopes[1]) < ctx.mpf(10) ** -12
 
 
 def test_t_function_branch_guard():
