@@ -154,12 +154,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     M = _load_base(args)
-    text = spectrum.spectrum_text(M, _fraction_in("--cutoff", args.cutoff, 0))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(spectrum.spectrum_text(M, _fraction_in("--cutoff", args.cutoff, 0)), args.out)
     return 0
 
 

@@ -112,10 +112,6 @@ class ModelOperator:
     def length(self) -> float:
         return 1.0 - float(self.eps) if self.eps is not None else 1.0
 
-    def boundary_conditions(self):
-        """The end conditions of this operator (see end_conditions)."""
-        return end_conditions(self.variant, self.A, self.eps)
-
 
 def end_conditions(variant: str, A, eps=None):
     """((side, kind, beta), (side, kind, beta)) at the left and the right end.
@@ -347,13 +343,14 @@ def harmonic_operator(k: int, n: int, eps) -> ModelOperator:
 # Brute-force eigenvalue oracle (double precision scan + certified count)
 
 
-def _boundary_functional(op: ModelOperator):
-    """The boundary functionals of op applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x).
+def _eigen_condition(op: ModelOperator):
+    """The eigencondition of op as a function of real or complex mu, scalar or array.
 
-    The conditions become float coefficients (x0, sqrt(x0), beta + 1/2) once;
-    the returned function takes real or complex mu, scalar or array, and gives
-    (UL_J, UL_Y, UR_J, UR_Y).  On the full interval the left pair is
-    (None, None): the Dirichlet branch at 0 keeps J_nu alone.
+    Each end condition applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x)
+    gives a pair (U_J, U_Y), and the condition is U_J(left) U_Y(right) -
+    U_Y(left) U_J(right).  On the full interval the Dirichlet branch at 0
+    keeps J_nu alone, and the condition is U_J(right).  The end conditions
+    become float coefficients (x0, sqrt(x0), beta + 1/2) once.
     """
     nu = float(op.nu)
 
@@ -363,7 +360,7 @@ def _boundary_functional(op: ModelOperator):
         x0 = float(op.eps) if side == "eps" else 1.0
         return x0, math.sqrt(x0), None if kind == "D" else float(Fraction(beta) + Fraction(1, 2))
 
-    left, right = (coefficients(*cond) for cond in op.boundary_conditions())
+    left, right = (coefficients(*cond) for cond in end_conditions(op.variant, op.A, op.eps))
 
     def apply(C, mu, x0, root, shift):
         w = mu * x0
@@ -373,23 +370,11 @@ def _boundary_functional(op: ModelOperator):
         # w C'_nu(w) + shift C_nu(w) = w C_{nu-1}(w) + (shift - nu) C_nu(w)
         return (w * C(nu - 1, w) + (shift - nu) * c) / root
 
-    def functional(mu):
-        if left is None:
-            return None, None, apply(_sp.jv, mu, *right), None
-        return (apply(_sp.jv, mu, *left), apply(_sp.yv, mu, *left),
-                apply(_sp.jv, mu, *right), apply(_sp.yv, mu, *right))
-
-    return functional
-
-
-def _eigen_condition(op: ModelOperator):
-    functional = _boundary_functional(op)
-
     def F(mu):
-        ULJ, ULY, URJ, URY = functional(mu)
-        if ULJ is None:
-            return URJ
-        return ULJ * URY - ULY * URJ
+        if left is None:
+            return apply(_sp.jv, mu, *right)
+        return (apply(_sp.jv, mu, *left) * apply(_sp.yv, mu, *right)
+                - apply(_sp.yv, mu, *left) * apply(_sp.jv, mu, *right))
     return F
 
 

@@ -249,26 +249,32 @@ def _sum_of_squares_counts(n: int, qmax: int) -> list:
     return counts
 
 
-def _torus_lines(M: BaseManifold, k: int, cutoff: Fraction) -> list:
+def _torus_lines(M: BaseManifold, degrees, cutoff: Fraction) -> list:
+    """The lines of each degree in turn.  Degree k needs the norms q = |m|^2 up to
+    (cutoff^2 - A_k^2) / scale; one lattice count runs to the largest of these
+    (the middle degree's, A = 0, for a whole spectrum) and each degree slices it.
+    """
     n = M.n
-    if k >= n:
+    qmax = {}
+    for k in degrees:
+        A2 = DegreeData(k, n).A ** 2
         # coclosed n-forms with positive eigenvalue do not exist
+        if k < n and cutoff ** 2 > A2:
+            qmax[k] = int((cutoff ** 2 - A2) / M.scale)
+    if not qmax:
         return []
-    A2 = DegreeData(k, n).A ** 2
-    if cutoff ** 2 <= A2:
-        return []
-    qmax = int((cutoff ** 2 - A2) / M.scale)
+    qtop = max(qmax.values())
     limit = _max_lattice_norm(n)
-    if qmax > limit:
+    if qtop > limit:
         raise UnsupportedManifoldError(
-            f"{M.name}: the cutoff needs lattice norms |m|^2 up to about 2^{qmax.bit_length()}, "
+            f"{M.name}: the cutoff needs lattice norms |m|^2 up to about 2^{qtop.bit_length()}, "
             f"beyond the {limit} that the lattice count supports in dimension {n}")
-    per_point = M.rank * math.comb(n - 1, k)
-    counts = _sum_of_squares_counts(n, qmax)
+    counts = _sum_of_squares_counts(n, qtop)
     out = []
-    for q in range(1, qmax + 1):
-        if counts[q]:
-            out.append(SpectralLine(k, M.scale * q, counts[q] * per_point))
+    for k, top in qmax.items():
+        per_point = M.rank * math.comb(n - 1, k)
+        out += [SpectralLine(k, M.scale * q, counts[q] * per_point)
+                for q in range(1, top + 1) if counts[q]]
     return out
 
 
@@ -283,16 +289,21 @@ def coclosed_spectrum(M: BaseManifold, k: int, cutoff) -> list:
     """
     if not 0 <= k <= M.n:
         raise ValueError(f"degree k must lie in 0..{M.n}")
+    return _coclosed_lines(M, (k,), cutoff)
+
+
+def _coclosed_lines(M: BaseManifold, degrees, cutoff) -> list:
+    """coclosed_spectrum of each degree in turn; a torus counts its lattice once."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    if M.kind == "sphere":
-        return _sphere_lines(M, k, cutoff)
     if M.kind == "torus":
-        return _torus_lines(M, k, cutoff)
-    A2 = DegreeData(k, M.n).A ** 2
-    out = [ln for ln in M.lines if ln.k == k and ln.eta + A2 <= cutoff ** 2]
-    return sorted(out, key=lambda ln: ln.eta)
+        return _torus_lines(M, degrees, cutoff)
+    if M.kind == "sphere":
+        return [ln for k in degrees for ln in _sphere_lines(M, k, cutoff)]
+    return sorted((ln for ln in M.lines
+                   if ln.k in degrees and ln.eta + DegreeData(ln.k, M.n).A ** 2 <= cutoff ** 2),
+                  key=lambda ln: (ln.k, ln.eta))
 
 
 def nu_stream(M: BaseManifold, k: int, cutoff) -> list:
@@ -318,14 +329,9 @@ def nu_stream(M: BaseManifold, k: int, cutoff) -> list:
 def spectrum_text(M: BaseManifold, cutoff) -> str:
     lines = [f"dim={M.n} rank={M.rank}"]
     lines.append("betti=" + ",".join(str(betti(M, k)) for k in range(M.n + 1)))
-    for k in range(M.n + 1):
-        for ln in coclosed_spectrum(M, k, cutoff):
-            lines.append(f"{ln.k},{_format_rational(ln.eta)},{ln.mult}")
+    for ln in _coclosed_lines(M, range(M.n + 1), cutoff):
+        lines.append(f"{ln.k},{_format_rational(ln.eta)},{ln.mult}")
     return "\n".join(lines) + "\n"
-
-
-def write_spectrum_file(M: BaseManifold, path, cutoff) -> None:
-    Path(path).write_text(spectrum_text(M, cutoff))
 
 
 def read_spectrum_file(path) -> BaseManifold:

@@ -15,6 +15,9 @@ Both routes are computed and their agreement is recorded, never assumed.
 Both spectral summands read the same per-degree data of the base (zeta(0)
 and zeta'(0) of the coclosed Laplacian, the residual inner sum); a report
 computes it once, in `spectral_pass`, and every assembly step reads it.
+Every summand is a plain number.  A report is approximate exactly when the
+pass is incomplete: only spheres have a complete pass, and their residues
+are exact, so nothing else can make a report approximate.
 
 The epsilon-dependent intermediate quantities (per-degree zeta'(0) of the
 truncated problem, the harmonic-sector term) carry log(eps) pieces that
@@ -29,7 +32,7 @@ from fractions import Fraction
 from . import olver, zeta
 from .berezin import CollarMetric, b_class
 from .precision import DEFAULT_DPS, context, to_real
-from .spectrum import BaseManifold, UnsupportedManifoldError, betti
+from .spectrum import BaseManifold, betti
 from .zeta import ApproximateOnlyError
 
 
@@ -57,20 +60,17 @@ class EpsilonReport:
 
     eps: Fraction
     zk_prime: tuple          # zeta_k'(0, eps) for k = 0..(n-1)/2
-    harmonic: object         # the harmonic-sector contribution
     difference: object       # log T(truncated) - log T(cone)
-    logeps_spectral: object  # coefficient of log(eps) from the zeta side
-    logeps_harmonic: object  # coefficient of log(eps) from the harmonic side
-    logeps_audit: object     # |spectral + harmonic| (must vanish)
+    logeps_audit: object     # |log(eps) coefficient of zeta side + harmonic side| (must vanish)
 
 
 @dataclass(frozen=True)
 class SpectralPass:
     """The base's per-degree spectral data for k = 0..(n-1)/2.
 
-    ccl[k] = (zeta(0, ccl_k), zeta'(0, ccl_k)) and inner[k] = the
-    (value, approximate) pair of residual_inner_sum; either is None when the
-    base has no exact continuation (ccl) or no residues (inner) for them.
+    ccl[k] = (zeta(0, ccl_k), zeta'(0, ccl_k)) and inner[k] =
+    residual_inner_sum(M, k); either is None when the base has no exact
+    continuation (ccl) or no residues (inner) for them.
     """
 
     ccl: tuple | None
@@ -80,19 +80,9 @@ class SpectralPass:
     def complete(self) -> bool:
         return self.ccl is not None and self.inner is not None
 
-    @property
-    def approximate(self) -> bool:
-        return not self.complete or any(ap for _v, ap in self.inner)
-
-
-def _require_odd(M: BaseManifold):
-    if M.n % 2 == 0:
-        raise UnsupportedManifoldError("the base must be odd-dimensional")
-
 
 def top_term(M: BaseManifold, P: int = DEFAULT_DPS):
     """The Betti-number combination sum_{k<=(n-1)/2} ((-1)^k/2) b_k log(n-2k+1)."""
-    _require_odd(M)
     ctx = context(P)
     acc = ctx.mpf(0)
     for k in range((M.n - 1) // 2 + 1):
@@ -107,22 +97,19 @@ def residual_inner_sum(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
     ctx = context(P)
     A = M.degree(k).A
     acc = ctx.mpf(0)
-    approx = False
     for r in range(1, (M.n - 1) // 2 + 1):
-        point = zeta.zeta_shifted_residue(M, k, r, P)
-        approx = approx or not point.exact
+        residue = zeta.zeta_shifted_residue(M, k, r, P)
         bracket = olver.residual_bracket(r, A)
         inner = ctx.mpf(0)
         for b, g in enumerate(bracket):
             if g:
                 inner += to_real(g, P, ctx) * ctx.digamma(b + r + ctx.mpf(1) / 2)
-        acc += point.residue * inner
-    return acc, approx
+        acc += residue * inner
+    return acc
 
 
 def spectral_pass(M: BaseManifold, P: int = DEFAULT_DPS) -> SpectralPass:
     """Compute each degree's zeta_ccl_at_zero and residual_inner_sum once."""
-    _require_odd(M)
     degrees = range((M.n - 1) // 2 + 1)
     try:
         ccl = tuple(zeta.zeta_ccl_at_zero(M, k, P) for k in degrees)
@@ -138,19 +125,16 @@ def spectral_pass(M: BaseManifold, P: int = DEFAULT_DPS) -> SpectralPass:
 def residual_term(M: BaseManifold, P: int = DEFAULT_DPS, inner=None):
     """The residual summand of the cone torsion (the quarter-weighted form).
 
-    Returns (value, approximate_flag); the truncated-cone torsion is twice this.
-    `inner` holds the per-degree residual_inner_sum pairs when already computed.
+    The truncated-cone torsion is twice this.  `inner` holds the per-degree
+    residual_inner_sum values when already computed.
     """
-    _require_odd(M)
     if inner is None:
         inner = [residual_inner_sum(M, k, P) for k in range((M.n - 1) // 2 + 1)]
     ctx = context(P)
     acc = ctx.mpf(0)
-    approx = False
-    for k, (value, ap) in enumerate(inner):
-        approx = approx or ap
+    for k, value in enumerate(inner):
         acc += ctx.mpf((-1) ** k) / 4 * to_real(M.degree(k).delta, P, ctx) * value
-    return acc, approx
+    return acc
 
 
 def _check_eps(eps) -> Fraction:
@@ -172,7 +156,6 @@ def harmonic_term(M: BaseManifold, eps, P: int = DEFAULT_DPS):
 
     (1/2) log(eps) sum_k (-1)^k k b_k - (1/2) sum_{k<=(n-1)/2} (-1)^k b_k log(n-2k+1).
     """
-    _require_odd(M)
     ctx = context(P)
     log_eps = ctx.log(to_real(Fraction(eps), P, ctx))
     return ctx.mpf(_betti_log_eps_weight(M)) / 2 * log_eps - top_term(M, P)
@@ -188,10 +171,9 @@ def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
     """log T(truncated cone) - log T(cone), assembled degree by degree.
 
     The value is epsilon-independent; the log(eps) coefficients of the two
-    contributing sides are returned so the cancellation can be audited.
+    contributing sides must cancel, and their sum is returned as the audit.
     `terms` is the base's spectral pass when the caller has it already.
     """
-    _require_odd(M)
     eps = _check_eps(eps)
     if terms is None:
         terms = spectral_pass(M, P)
@@ -202,24 +184,15 @@ def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
     zk = []
     diff = ctx.mpf(0)
     logeps_spec = ctx.mpf(0)
-    for k, ((z0, z0p), (inner, _)) in enumerate(zip(terms.ccl, terms.inner)):
+    for k, ((z0, z0p), inner) in enumerate(zip(terms.ccl, terms.inner)):
         zkp = _zk_prime(z0, z0p, inner, eps, P)
         zk.append(zkp)
         w = ctx.mpf((-1) ** k) / 2 * to_real(M.degree(k).delta, P, ctx)
         diff += w * zkp
         logeps_spec += w * (-2) * z0
-    halt = harmonic_term(M, eps, P)
-    diff += halt
+    diff += harmonic_term(M, eps, P)
     logeps_harm = ctx.mpf(_betti_log_eps_weight(M)) / 2
-    return EpsilonReport(
-        eps=eps,
-        zk_prime=tuple(zk),
-        harmonic=halt,
-        difference=diff,
-        logeps_spectral=logeps_spec,
-        logeps_harmonic=logeps_harm,
-        logeps_audit=abs(logeps_spec + logeps_harm),
-    )
+    return EpsilonReport(eps, tuple(zk), diff, abs(logeps_spec + logeps_harm))
 
 
 def collar_curvature(M: BaseManifold) -> Fraction:
@@ -251,13 +224,12 @@ def anomaly_integral(M: BaseManifold, P: int = DEFAULT_DPS):
 def truncated_cone_torsion(M: BaseManifold, P: int = DEFAULT_DPS):
     """log torsion of the truncated cone, both ways.
 
-    Returns (spectral, anomaly, gap, approximate): the half-weighted residue
-    form (epsilon-free) and rank * anomaly-class integral.
+    Returns (spectral, anomaly, gap): the half-weighted residue form
+    (epsilon-free), rank * anomaly-class integral, and their distance.
     """
-    spectral2, approx = residual_term(M, P)
-    spectral = 2 * spectral2
+    spectral = 2 * residual_term(M, P)
     anomaly = anomaly_integral(M, P)
-    return spectral, anomaly, abs(spectral - anomaly), approx
+    return spectral, anomaly, abs(spectral - anomaly)
 
 
 def _breakdown(M: BaseManifold, terms: SpectralPass, P: int) -> TorsionBreakdown:
@@ -266,7 +238,7 @@ def _breakdown(M: BaseManifold, terms: SpectralPass, P: int) -> TorsionBreakdown
     tors = None
     if terms.ccl is not None:
         tors = -zeta.base_torsion(M, P, [z0p for _z0, z0p in terms.ccl]) / 2
-    res_spec = None if terms.inner is None else residual_term(M, P, terms.inner)[0]
+    res_spec = None if terms.inner is None else residual_term(M, P, terms.inner)
     try:
         res_anom = anomaly_integral(M, P) / 2
     except ApproximateOnlyError:
@@ -314,5 +286,5 @@ def torsion_report(M: BaseManifold, P: int = DEFAULT_DPS, eps_list=(Fraction(1, 
             abs(reports[i].difference - reports[0].difference) for i in range(len(reports))))
         audits["logeps_audit"] = fmt(max(ctx.mpf(r.logeps_audit) for r in reports))
     out["audits"] = audits
-    out["approximate"] = terms.approximate
+    out["approximate"] = not terms.complete
     return out

@@ -208,10 +208,10 @@ def check_headline(P: int = 50):
 
     Exactly 0 = 0 over the circle; agreement <= 1e-6 over the 3-sphere.
     """
-    s1_spec, s1_anom, s1_gap, _ = torsion.truncated_cone_torsion(spectrum.sphere(1), P)
+    s1_spec, s1_anom, s1_gap = torsion.truncated_cone_torsion(spectrum.sphere(1), P)
     ctx = context(P)
     s1_ok = abs(s1_spec) <= ctx.mpf(10) ** -40 and abs(s1_anom) == 0
-    s3_spec, s3_anom, s3_gap, _ = torsion.truncated_cone_torsion(spectrum.sphere(3), P)
+    s3_spec, s3_anom, s3_gap = torsion.truncated_cone_torsion(spectrum.sphere(3), P)
     passed = s1_ok and s3_gap <= 1e-6
     return _result("headline", passed, float(s3_gap), 1e-6, {
         "sphere1": {"spectral": str(s1_spec), "anomaly": str(s1_anom)},

@@ -20,13 +20,12 @@ Flat tori carry exact residues (short-time heat kernel of the lattice sum
 is a pure power up to exponentially small terms) but no exact continuation
 for values/derivatives; they and file-backed spectra run in approximate
 mode: direct summation for Re(s) > n and a Weyl-fit residue estimate at
-s = n, everything flagged as such.
+s = n; a torsion report on such a base is flagged approximate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .olver import Polynomial
@@ -51,15 +50,6 @@ class PoleError(ArithmeticError):
 
 class ApproximateOnlyError(UnsupportedManifoldError):
     """The requested quantity has no exact continuation for this base."""
-
-
-@dataclass(frozen=True)
-class MeromorphicPoint:
-    """Location and residue of a zeta function at a pole; exact=False for an estimate."""
-
-    location: Fraction
-    residue: object
-    exact: bool = True
 
 
 class ZetaRepresentation:
@@ -133,23 +123,21 @@ def direct_sum_with_tail(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS, cutof
     return (acc.real if acc.imag == 0 else acc, tail)
 
 
-def zeta_shifted_residue(M: BaseManifold, k: int, r: int, P: int = DEFAULT_DPS) -> MeromorphicPoint:
+def zeta_shifted_residue(M: BaseManifold, k: int, r: int, P: int = DEFAULT_DPS):
     """Residue of zeta_{k,N} at s = 2r+1 (estimated for file spectra)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     s0 = Fraction(2 * r + 1)
     if s0 > M.n:
         raise ValueError(f"s = {s0} is beyond the pole range of an n = {M.n} base")
-    ctx = context(P)
     if M.kind == "sphere":
-        res = shifted_zeta_representation(M, k).residue_at(s0)
-        return MeromorphicPoint(s0, to_real(res, P, ctx))
+        return to_real(shifted_zeta_representation(M, k).residue_at(s0), P)
     if M.kind == "torus":
-        return MeromorphicPoint(s0, _torus_residue(M, k, r, P))
+        return _torus_residue(M, k, r, P)
     if s0 != M.n:
         raise ApproximateOnlyError(
             "file-backed spectra only support the leading residue at s = n (estimated)")
-    return MeromorphicPoint(s0, _estimated_leading_residue(M, k, P), exact=False)
+    return _estimated_leading_residue(M, k, P)
 
 
 def _torus_residue(M: BaseManifold, k: int, r: int, P: int):

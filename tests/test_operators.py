@@ -16,6 +16,7 @@ from conetorsion.operators import (
     det_ratio_oracle,
     det_ratio_truncated,
     eigenvalues_oracle,
+    end_conditions,
     h_det,
     harmonic_operator,
     t_function,
@@ -208,18 +209,18 @@ def test_oracle_count_guard():
 
 def test_boundary_condition_table():
     op = ModelOperator("psi2", 1.5, F(1), F(1, 2))
-    (left, right) = op.boundary_conditions()
+    (left, right) = end_conditions(op.variant, op.A, op.eps)
     assert left == ("eps", "D", None)
     assert right == ("1", "N", F(1, 2))  # beta = A - 1/2
     op0 = ModelOperator("psi0", 1.5, F(1), F(1, 2))
-    assert op0.boundary_conditions()[0] == ("eps", "N", F(-3, 2))  # beta = -A - 1/2
+    assert end_conditions(op0.variant, op0.A, op0.eps)[0] == ("eps", "N", F(-3, 2))  # beta = -A - 1/2
 
 
 def _two_sided_condition(op, mu):
     """The eigencondition at one mu with derivatives from scipy's jvp/yvp."""
     import scipy.special as sp
     values = []
-    for side, kind, beta in op.boundary_conditions():
+    for side, kind, beta in end_conditions(op.variant, op.A, op.eps):
         x0 = float(op.eps) if side == "eps" else 1.0
         for C, Cp in ((sp.jv, sp.jvp), (sp.yv, sp.yvp)):
             c = C(op.nu, mu * x0)

@@ -20,8 +20,8 @@ from conetorsion.spectrum import (
     read_spectrum_file,
     sphere,
     sphere_multiplicity_polynomial,
+    spectrum_text,
     torus,
-    write_spectrum_file,
 )
 from oracles import sphere_multiplicity
 
@@ -140,6 +140,28 @@ def test_sum_of_squares_counts_match_enumeration(n):
     assert spectrum._sum_of_squares_counts(n, qmax) == [brute[q] for q in range(qmax + 1)]
 
 
+def test_torus_spectrum_counts_the_lattice_once(monkeypatch):
+    calls = []
+    count = spectrum._sum_of_squares_counts
+
+    def counting(n, qmax):
+        calls.append(qmax)
+        return count(n, qmax)
+
+    monkeypatch.setattr(spectrum, "_sum_of_squares_counts", counting)
+    spectrum_text(torus(7), 118)
+    assert calls == [118 ** 2]      # the middle degree's bound (A = 0), once
+    calls.clear()
+    with pytest.raises(UnsupportedManifoldError):
+        spectrum_text(torus(7), 1000)
+    assert calls == []              # the step budget refuses before any count
+    # each degree reads its own slice of the one count
+    T = torus(5, 2, F(1, 3))
+    body = [f"{ln.k},{spectrum._format_rational(ln.eta)},{ln.mult}"
+            for k in range(T.n + 1) for ln in coclosed_spectrum(T, k, 9)]
+    assert spectrum_text(T, 9).splitlines()[2:] == body
+
+
 def test_torus_scale():
     T = torus(3, scale=F(4))
     assert coclosed_spectrum(T, 0, 3)[0].eta == F(4)
@@ -148,7 +170,7 @@ def test_torus_scale():
 def test_file_round_trip(tmp_path):
     for M in (sphere(3), torus(3, scale=F(1, 4))):
         path = tmp_path / "spec.txt"
-        write_spectrum_file(M, path, 12)
+        path.write_text(spectrum_text(M, 12))
         back = read_spectrum_file(path)
         assert back.n == M.n and back.rank == M.rank
         assert tuple(betti(back, k) for k in range(M.n + 1)) == tuple(
@@ -159,7 +181,7 @@ def test_file_round_trip(tmp_path):
             assert orig == got
         # byte-exact second generation
         text1 = (tmp_path / "spec.txt").read_text()
-        write_spectrum_file(back, tmp_path / "spec2.txt", 12)
+        (tmp_path / "spec2.txt").write_text(spectrum_text(back, 12))
         assert (tmp_path / "spec2.txt").read_text() == text1
 
 

@@ -7,8 +7,9 @@ import mpmath as mp
 import pytest
 
 from conetorsion import torsion, zeta
+from conetorsion.cli import parse_base
 from conetorsion.precision import context
-from conetorsion.spectrum import sphere, torus, write_spectrum_file, read_spectrum_file
+from conetorsion.spectrum import sphere, torus, spectrum_text, read_spectrum_file
 from conetorsion.torsion import (
     cone_torsion,
     harmonic_term,
@@ -99,25 +100,24 @@ def test_difference_base_torsion_share():
 def test_truncated_cone_torsion_values():
     P = 50
     ctx = context(P)
-    spec1, anom1, gap1, _ = truncated_cone_torsion(S1, P)
+    spec1, anom1, gap1 = truncated_cone_torsion(S1, P)
     assert spec1 == 0 and anom1 == 0 and gap1 == 0
-    spec3, anom3, gap3, _ = truncated_cone_torsion(S3, P)
+    spec3, anom3, gap3 = truncated_cone_torsion(S3, P)
     assert abs(spec3 + ctx.mpf(1) / 3) < ctx.mpf(10) ** -45
     assert gap3 < ctx.mpf(10) ** -45
     # torus: both sides exact as well, equal to -4 pi / 3
-    specT, anomT, gapT, approxT = truncated_cone_torsion(torus(3), P)
+    specT, anomT, gapT = truncated_cone_torsion(torus(3), P)
     assert abs(specT + 4 * ctx.pi / 3) < ctx.mpf(10) ** -45
     assert gapT < ctx.mpf(10) ** -44
-    assert not approxT
 
 
 def test_truncated_cone_torsion_sphere5_and_torus5():
     P = 50
     ctx = context(P)
-    spec, anom, gap, _ = truncated_cone_torsion(sphere(5), P)
+    spec, anom, gap = truncated_cone_torsion(sphere(5), P)
     assert abs(spec + ctx.mpf(8) / 15) < ctx.mpf(10) ** -44
     assert gap < ctx.mpf(10) ** -44
-    specT, anomT, gapT, _ = truncated_cone_torsion(torus(5), P)
+    specT, anomT, gapT = truncated_cone_torsion(torus(5), P)
     assert abs(specT - 48 * ctx.pi ** 2 / 5) < ctx.mpf(10) ** -42
     assert gapT < ctx.mpf(10) ** -42
 
@@ -144,7 +144,7 @@ def test_cone_torsion_sphere3():
 def test_cone_equals_truncated_minus_difference(M):
     P = 50
     bd = cone_torsion(M, P)
-    spec, _anom, _gap, _ = truncated_cone_torsion(M, P)
+    spec, _anom, _gap = truncated_cone_torsion(M, P)
     diff = torsion_difference(M, F(1, 2), P).difference
     assert abs(bd.total - (spec - diff)) < mp.mpf(10) ** -40
 
@@ -192,7 +192,7 @@ def test_report_torus_mode():
 
 def test_report_file_mode(tmp_path):
     path = tmp_path / "s3.spec"
-    write_spectrum_file(sphere(3), path, 80)
+    path.write_text(spectrum_text(sphere(3), 80))
     M = read_spectrum_file(path)
     r = torsion_report(M, 30)
     assert r["approximate"] is True
@@ -205,10 +205,10 @@ def test_truncated_cone_torsion_sphere7_and_torus7():
     # fifth and seventh powers) that played no role in fixing conventions
     P = 45
     ctx = context(P)
-    spec, anom, gap, _ = truncated_cone_torsion(sphere(7), P)
+    spec, anom, gap = truncated_cone_torsion(sphere(7), P)
     assert abs(spec + ctx.mpf(71) / 105) < ctx.mpf(10) ** -40
     assert gap < ctx.mpf(10) ** -40
-    _specT, _anomT, gapT, _ = truncated_cone_torsion(torus(7), P)
+    _specT, _anomT, gapT = truncated_cone_torsion(torus(7), P)
     assert gapT < ctx.mpf(10) ** -38
 
 
@@ -227,6 +227,57 @@ def test_residual_is_half_the_truncated_torsion():
     # the quarter-weighted residual summand vs the half-weighted truncated value
     P = 40
     for M in (S3, sphere(5)):
-        spec, _anom, _gap, _ = truncated_cone_torsion(M, P)
+        spec, _anom, _gap = truncated_cone_torsion(M, P)
         bd = cone_torsion(M, P)
         assert abs(spec - 2 * bd.res_spectral) == 0
+
+
+# torsion_report(M, 30) as JSON, byte for byte; the file base is S^3 cut off at 40
+REPORTS_AT_30 = {
+    "sphere:3": (
+        '{"approximate": false, '
+        '"audits": {"eps_cancel": "1.14794370197489014450071927463e-41", '
+        '"headline_gap": "1.72191555296233521675107891195e-41", "logeps_audit": "0.0"}, '
+        '"base": "sphere:3", '
+        '"breakdown": {"res_anomaly": "-0.166666666666666666666666666667", '
+        '"res_spectral": "-0.166666666666666666666666666667", '
+        '"top": "0.693147180559945309417232121458", '
+        '"tors": "-1.49130347612937282885204341208", '
+        '"total": "-0.964822962236094186101477957291"}, "n": 3, "precision": 30, "rank": 1}'),
+    "sphere:5:2": (
+        '{"approximate": false, "audits": {"eps_cancel": "0.0", '
+        '"headline_gap": "4.59177480789956057800287709852e-41", "logeps_audit": "0.0"}, '
+        '"base": "sphere:5:2", '
+        '"breakdown": {"res_anomaly": "-0.533333333333333333333333333333", '
+        '"res_spectral": "-0.533333333333333333333333333333", '
+        '"top": "1.79175946922805500081247735838", '
+        '"tors": "-3.43418965754820052243028205406", '
+        '"total": "-2.17576352165347885495113802901"}, "n": 5, "precision": 30, "rank": 2}'),
+    "torus:3": (
+        '{"approximate": true, "audits": {"eps_cancel": null, '
+        '"headline_gap": "2.29588740394978028900143854926e-40"}, "base": "torus:3", '
+        '"breakdown": {"res_anomaly": "-2.09439510239319549230842892219", '
+        '"res_spectral": "-2.09439510239319549230842892219", '
+        '"top": "-0.346573590279972654708616060729", "tors": null, "total": null}, "n": 3, '
+        '"precision": 30, "rank": 1}'),
+    "file:s3.spec": (
+        '{"approximate": true, "audits": {"eps_cancel": null, "headline_gap": null}, '
+        '"base": "file:s3.spec", "breakdown": {"res_anomaly": null, '
+        '"res_spectral": "-0.119028147379557065688700168678", '
+        '"top": "0.693147180559945309417232121458", "tors": null, "total": null}, "n": 3, '
+        '"precision": 30, "rank": 1}'),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTS_AT_30))
+def test_report_json_is_pinned(name, tmp_path):
+    if name.startswith("file:"):
+        path = tmp_path / "s3.spec"
+        path.write_text(spectrum_text(sphere(3), 40))
+        M = read_spectrum_file(path)
+    else:
+        M = parse_base(name)
+    r = torsion_report(M, 30)
+    assert json.dumps(r, sort_keys=True) == REPORTS_AT_30[name]
+    # only spheres have an exact continuation, and their residues are exact
+    assert r["approximate"] == (M.kind != "sphere")

@@ -9,7 +9,7 @@ import pytest
 
 from conetorsion.precision import context, to_real
 from conetorsion.spectrum import (
-    DegreeData, betti, sphere, torus, write_spectrum_file, read_spectrum_file)
+    DegreeData, betti, sphere, torus, spectrum_text, read_spectrum_file)
 from conetorsion.torsion import volume
 from conetorsion.zeta import (
     ApproximateOnlyError,
@@ -58,14 +58,13 @@ SPHERE_RESIDUES = {
 
 
 def test_sphere3_residues():
-    """The S³ residues as points; then every residue on S³, S⁵ and S⁷, pinned,
+    """The S³ residues at s = 3; then every residue on S³, S⁵ and S⁷, pinned,
     and the one at s = n against Weyl's law."""
     P = 40
     ctx = context(P)
     p0 = zeta_shifted_residue(S3, 0, 1, P)
     p1 = zeta_shifted_residue(S3, 1, 1, P)
-    assert p0.residue == 1 and p1.residue == 2 and p0.exact and p1.exact
-    assert p0.location == 3
+    assert p0 == 1 and p1 == 2
     for n, rows in SPHERE_RESIDUES.items():
         assert len(rows) == n
         for k, row in enumerate(rows):
@@ -87,11 +86,11 @@ def test_residue_numerical_limit_oracle():
     # (s - 3) zeta(s) along s = 3 + 10^-j must converge to the residue
     P = 50
     ctx = context(P)
-    point = zeta_shifted_residue(S3, 0, 1, P)
+    residue = zeta_shifted_residue(S3, 0, 1, P)
     for j in (8, 12):
         s = 3 + ctx.mpf(10) ** -j
         val = zeta_shifted(S3, 0, s, P)
-        assert abs((s - 3) * val - point.residue) < ctx.mpf(10) ** (-j + 1)
+        assert abs((s - 3) * val - residue) < ctx.mpf(10) ** (-j + 1)
 
 
 def test_out_of_range_residue():
@@ -186,14 +185,14 @@ def test_base_torsion_guards():
 def test_torus_residues_exact():
     ctx = context(40)
     T3 = torus(3)
-    assert abs(zeta_shifted_residue(T3, 0, 1, 40).residue - 4 * ctx.pi) < ctx.mpf("1e-44")
-    assert abs(zeta_shifted_residue(T3, 1, 1, 40).residue - 8 * ctx.pi) < ctx.mpf("1e-44")
+    assert abs(zeta_shifted_residue(T3, 0, 1, 40) - 4 * ctx.pi) < ctx.mpf("1e-44")
+    assert abs(zeta_shifted_residue(T3, 1, 1, 40) - 8 * ctx.pi) < ctx.mpf("1e-44")
     T5 = torus(5)
-    assert abs(zeta_shifted_residue(T5, 0, 2, 40).residue
+    assert abs(zeta_shifted_residue(T5, 0, 2, 40)
                - ctx.mpf(8) / 3 * ctx.pi ** 2) < ctx.mpf("1e-43")
-    assert abs(zeta_shifted_residue(T5, 0, 1, 40).residue + 16 * ctx.pi ** 2) < ctx.mpf("1e-43")
+    assert abs(zeta_shifted_residue(T5, 0, 1, 40) + 16 * ctx.pi ** 2) < ctx.mpf("1e-43")
     # middle degree has A = 0: no lower pole
-    assert zeta_shifted_residue(T5, 2, 1, 40).residue == 0
+    assert zeta_shifted_residue(T5, 2, 1, 40) == 0
 
 
 def test_torus_values_need_large_re():
@@ -210,16 +209,14 @@ def test_torus_values_need_large_re():
 
 def test_file_leading_residue_estimate(tmp_path):
     path = tmp_path / "s3.spec"
-    write_spectrum_file(sphere(3), path, 80)
+    path.write_text(spectrum_text(sphere(3), 80))
     M = read_spectrum_file(path)
-    pt = zeta_shifted_residue(M, 0, 1, 30)
-    assert not pt.exact
-    assert abs(float(pt.residue) - 1.0) < 0.15
+    assert abs(float(zeta_shifted_residue(M, 0, 1, 30)) - 1.0) < 0.15
 
 
 def test_file_subleading_residue_unavailable(tmp_path):
     path = tmp_path / "s5.spec"
-    write_spectrum_file(sphere(5), path, 30)
+    path.write_text(spectrum_text(sphere(5), 30))
     M = read_spectrum_file(path)
     with pytest.raises(ApproximateOnlyError):
         zeta_shifted_residue(M, 0, 1, 30)  # s = 3 < n = 5: only the leading pole is estimable
