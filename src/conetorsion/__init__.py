@@ -12,12 +12,12 @@ torsion (assembly), verify (quantitative suites), cli (driver).
 """
 
 from .spectrum import BaseManifold, SpectralLine, sphere, torus, read_spectrum_file
-from .torsion import TorsionBreakdown, EpsilonReport, cone_torsion, truncated_cone_torsion
+from .torsion import TorsionBreakdown, cone_torsion, truncated_cone_torsion
 from .zeta import base_torsion, zeta_shifted_residue
 
 __all__ = [
     "BaseManifold", "SpectralLine", "sphere", "torus", "read_spectrum_file",
-    "TorsionBreakdown", "EpsilonReport", "cone_torsion", "truncated_cone_torsion",
+    "TorsionBreakdown", "cone_torsion", "truncated_cone_torsion",
     "base_torsion", "zeta_shifted_residue",
 ]
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 from . import spectrum, torsion, verify
@@ -123,13 +124,21 @@ def cmd_torsion(args) -> int:
         _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     else:
         _emit(_breakdown_table(report), args.out)
-    gap = report["audits"].get("headline_gap")
-    if gap is not None and abs(float(gap)) > 1e-6:
+    audits = report["audits"]
+    gap = audits["headline_gap"]
+    if gap is not None and _beyond_error_model(gap, report["breakdown"]["res_anomaly"], precision):
         return 2
-    cancel = report["audits"].get("eps_cancel")
-    if cancel is not None and abs(float(cancel)) > 1e-10:
+    if any(audits.get(key) is not None and abs(float(audits[key])) > 1e-10
+           for key in ("eps_cancel", "logeps_audit")):
         return 2
     return 0
+
+
+def _beyond_error_model(gap: str, value: str, precision: int) -> bool:
+    """gap > 10^(5-P) |value|, the README error model, in Decimal so that no exponent overflows."""
+    with localcontext() as dc:
+        dc.Emax, dc.Emin = MAX_EMAX, MIN_EMIN
+        return Decimal(gap) > abs(Decimal(value)).scaleb(5 - precision)
 
 
 def cmd_verify(args) -> int:

@@ -194,6 +194,10 @@ def sphere_multiplicity_polynomial(M: BaseManifold, k: int) -> Polynomial:
     return poly.scale(scale)
 
 
+# A line costs about 40 microseconds, so this many take under a minute.
+_MAX_SPHERE_LINES = 10 ** 6
+
+
 def _sphere_lines(M: BaseManifold, k: int, cutoff: Fraction) -> list:
     n = M.n
     if k >= n:
@@ -300,6 +304,11 @@ def _coclosed_lines(M: BaseManifold, degrees, cutoff) -> list:
     if M.kind == "torus":
         return _torus_lines(M, degrees, cutoff)
     if M.kind == "sphere":
+        count = sum(k < M.n for k in degrees) * max(0, math.floor(cutoff - Fraction(M.n - 1, 2)))
+        if count > _MAX_SPHERE_LINES:
+            raise UnsupportedManifoldError(
+                f"{M.name}: the cutoff gives about 2^{count.bit_length()} spectral lines, "
+                f"beyond the {_MAX_SPHERE_LINES} that a sphere spectrum supports")
         return [ln for k in degrees for ln in _sphere_lines(M, k, cutoff)]
     return sorted((ln for ln in M.lines
                    if ln.k in degrees and ln.eta + DegreeData(ln.k, M.n).A ** 2 <= cutoff ** 2),

@@ -19,9 +19,13 @@ Every summand is a plain number.  A report is approximate exactly when the
 pass is incomplete: only spheres have a complete pass, and their residues
 are exact, so nothing else can make a report approximate.
 
-The epsilon-dependent intermediate quantities (per-degree zeta'(0) of the
-truncated problem, the harmonic-sector term) carry log(eps) pieces that
-cancel in the assembled difference; the cancellation is audited numerically.
+With those three numbers the truncated-vs-full difference is an identity,
+
+    log T(trunc, eps) - log T(cone) = res_spectral - top - tors + c log(eps),
+    c = -sum_k (-1)^k delta_k zeta(0, ccl_k) + (1/2) sum_k (-1)^k k b_k,
+
+and c, the zeta(0)-against-Betti defect, must vanish; a report prints |c| as
+its log(eps) audit and the spread of the difference over the radii.
 """
 
 from __future__ import annotations
@@ -52,16 +56,6 @@ class TorsionBreakdown:
     res_anomaly: object
     total: object
     headline_gap: object
-
-
-@dataclass(frozen=True)
-class EpsilonReport:
-    """Per-epsilon assembly of the truncated-vs-full torsion difference."""
-
-    eps: Fraction
-    zk_prime: tuple          # zeta_k'(0, eps) for k = 0..(n-1)/2
-    difference: object       # log T(truncated) - log T(cone)
-    logeps_audit: object     # |log(eps) coefficient of zeta side + harmonic side| (must vanish)
 
 
 @dataclass(frozen=True)
@@ -122,14 +116,9 @@ def spectral_pass(M: BaseManifold, P: int = DEFAULT_DPS) -> SpectralPass:
     return SpectralPass(ccl, inner)
 
 
-def residual_term(M: BaseManifold, P: int = DEFAULT_DPS, inner=None):
-    """The residual summand of the cone torsion (the quarter-weighted form).
-
-    The truncated-cone torsion is twice this.  `inner` holds the per-degree
-    residual_inner_sum values when already computed.
-    """
-    if inner is None:
-        inner = [residual_inner_sum(M, k, P) for k in range((M.n - 1) // 2 + 1)]
+def residual_term(M: BaseManifold, inner, P: int = DEFAULT_DPS):
+    """The residual summand of the cone torsion (the quarter-weighted form) from
+    the per-degree residual_inner_sum values; the truncated-cone torsion is twice this."""
     ctx = context(P)
     acc = ctx.mpf(0)
     for k, value in enumerate(inner):
@@ -144,34 +133,24 @@ def _check_eps(eps) -> Fraction:
     return eps
 
 
-def _zk_prime(z0, z0p, inner, eps: Fraction, P: int):
-    """zeta_k'(0, eps), the continued derivative of the degree's difference zeta:
-    -zeta'(0, ccl_k) - 2 log(eps) zeta(0, ccl_k) plus half the residual inner sum."""
+def log_eps_coefficient(M: BaseManifold, terms: SpectralPass, P: int = DEFAULT_DPS):
+    """c = -sum_k (-1)^k delta_k zeta(0, ccl_k) + (1/2) sum_k (-1)^k k b_k, the
+    log(eps) coefficient of the torsion difference (zero when zeta(0) matches the Betti numbers)."""
     ctx = context(P)
-    return -z0p - 2 * ctx.log(to_real(eps, P, ctx)) * z0 + inner / 2
+    c = ctx.mpf(0)
+    for k, (z0, _z0p) in enumerate(terms.ccl):
+        c += ctx.mpf((-1) ** k) / 2 * to_real(M.degree(k).delta, P, ctx) * (-2) * z0
+    return c + ctx.mpf(sum((-1) ** k * k * betti(M, k) for k in range(M.n + 1))) / 2
 
 
-def harmonic_term(M: BaseManifold, eps, P: int = DEFAULT_DPS):
-    """The harmonic-sector contribution to the torsion difference.
-
-    (1/2) log(eps) sum_k (-1)^k k b_k - (1/2) sum_{k<=(n-1)/2} (-1)^k b_k log(n-2k+1).
-    """
-    ctx = context(P)
-    log_eps = ctx.log(to_real(Fraction(eps), P, ctx))
-    return ctx.mpf(_betti_log_eps_weight(M)) / 2 * log_eps - top_term(M, P)
-
-
-def _betti_log_eps_weight(M: BaseManifold) -> int:
-    """sum_k (-1)^k k b_k, twice the log(eps) coefficient of the harmonic term."""
-    return sum((-1) ** k * k * betti(M, k) for k in range(M.n + 1))
+def _difference(bd: TorsionBreakdown, c, eps: Fraction, ctx):
+    return bd.res_spectral - bd.top - bd.tors + c * ctx.log(to_real(eps, ctx=ctx))
 
 
 def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
-                       terms: SpectralPass | None = None) -> EpsilonReport:
-    """log T(truncated cone) - log T(cone), assembled degree by degree.
+                       terms: SpectralPass | None = None):
+    """log T(truncated cone) - log T(cone) = res_spectral - top - tors + c log(eps).
 
-    The value is epsilon-independent; the log(eps) coefficients of the two
-    contributing sides must cancel, and their sum is returned as the audit.
     `terms` is the base's spectral pass when the caller has it already.
     """
     eps = _check_eps(eps)
@@ -180,19 +159,7 @@ def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
     if not terms.complete:
         raise ApproximateOnlyError(
             f"{M.name}: the torsion difference needs exact zeta'(0, ccl_k) and residues")
-    ctx = context(P)
-    zk = []
-    diff = ctx.mpf(0)
-    logeps_spec = ctx.mpf(0)
-    for k, ((z0, z0p), inner) in enumerate(zip(terms.ccl, terms.inner)):
-        zkp = _zk_prime(z0, z0p, inner, eps, P)
-        zk.append(zkp)
-        w = ctx.mpf((-1) ** k) / 2 * to_real(M.degree(k).delta, P, ctx)
-        diff += w * zkp
-        logeps_spec += w * (-2) * z0
-    diff += harmonic_term(M, eps, P)
-    logeps_harm = ctx.mpf(_betti_log_eps_weight(M)) / 2
-    return EpsilonReport(eps, tuple(zk), diff, abs(logeps_spec + logeps_harm))
+    return _difference(_breakdown(M, terms, P), log_eps_coefficient(M, terms, P), eps, context(P))
 
 
 def collar_curvature(M: BaseManifold) -> Fraction:
@@ -227,7 +194,8 @@ def truncated_cone_torsion(M: BaseManifold, P: int = DEFAULT_DPS):
     Returns (spectral, anomaly, gap): the half-weighted residue form
     (epsilon-free), rank * anomaly-class integral, and their distance.
     """
-    spectral = 2 * residual_term(M, P)
+    inner = [residual_inner_sum(M, k, P) for k in range((M.n - 1) // 2 + 1)]
+    spectral = 2 * residual_term(M, inner, P)
     anomaly = anomaly_integral(M, P)
     return spectral, anomaly, abs(spectral - anomaly)
 
@@ -238,7 +206,7 @@ def _breakdown(M: BaseManifold, terms: SpectralPass, P: int) -> TorsionBreakdown
     tors = None
     if terms.ccl is not None:
         tors = -zeta.base_torsion(M, P, [z0p for _z0, z0p in terms.ccl]) / 2
-    res_spec = None if terms.inner is None else residual_term(M, P, terms.inner)
+    res_spec = None if terms.inner is None else residual_term(M, terms.inner, P)
     try:
         res_anom = anomaly_integral(M, P) / 2
     except ApproximateOnlyError:
@@ -281,10 +249,10 @@ def torsion_report(M: BaseManifold, P: int = DEFAULT_DPS, eps_list=(Fraction(1, 
     if not terms.complete:
         audits["eps_cancel"] = None
     else:
-        reports = [torsion_difference(M, e, P, terms) for e in eps_list]
-        audits["eps_cancel"] = fmt(max(
-            abs(reports[i].difference - reports[0].difference) for i in range(len(reports))))
-        audits["logeps_audit"] = fmt(max(ctx.mpf(r.logeps_audit) for r in reports))
+        c = log_eps_coefficient(M, terms, P)
+        diffs = [_difference(bd, c, _check_eps(e), ctx) for e in eps_list]
+        audits["eps_cancel"] = fmt(max(abs(d - diffs[0]) for d in diffs))
+        audits["logeps_audit"] = fmt(abs(c))
     out["audits"] = audits
     out["approximate"] = not terms.complete
     return out

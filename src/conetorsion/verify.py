@@ -199,7 +199,7 @@ def check_eps_independence(P: int = 50):
         terms = torsion.spectral_pass(M, P)
         r1 = torsion.torsion_difference(M, Fraction(1, 2), P, terms)
         r2 = torsion.torsion_difference(M, Fraction(1, 4), P, terms)
-        worst = max(worst, abs(float(r1.difference - r2.difference)))
+        worst = max(worst, abs(float(r1 - r2)))
     return _result("epscancel", worst <= 1e-10, worst, 1e-10)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import conetorsion
-from conetorsion import berezin, cli, verify
+from conetorsion import berezin, cli, torsion, verify, zeta
 from conetorsion.cli import main, parse_base
 from conetorsion.operators import ModelOperator, eigenvalues_oracle
 from conetorsion.spectrum import UnsupportedManifoldError
@@ -159,6 +159,39 @@ def test_spectrum_round_trip(capsys, tmp_path):
     assert code == 0 and out == path.read_text()
 
 
+def test_headline_gate_is_relative_to_the_residual_term(capsys):
+    # both sides are about -2.1e45, so a gap of 2.6e5 is 1.3e-40 of them: within 10^(5-P)
+    code, out, _ = run(capsys, "torsion", "--base", "torus:3:1:1e-30", "--precision", "30")
+    assert code == 0
+    assert float(json.loads(out)["audits"]["headline_gap"]) > 1
+
+
+@pytest.mark.parametrize("scale", ["1e10", "1e100"])
+def test_headline_gate_fails_a_doubled_anomaly_side(monkeypatch, capsys, scale):
+    # both sides are tiny here, so only a gate relative to them sees the doubling
+    anomaly = torsion.anomaly_integral
+    monkeypatch.setattr(torsion, "anomaly_integral", lambda M, P: 2 * anomaly(M, P))
+    code, out, _ = run(capsys, "torsion", "--base", f"torus:3:1:{scale}")
+    assert code == 2
+    assert float(json.loads(out)["audits"]["headline_gap"]) < 1e-12
+
+
+def test_logeps_audit_gates_the_exit_code(monkeypatch, capsys):
+    # zeta(0) off by 1e-4 leaves a log(eps) coefficient of 5e-5 on S^3, which two
+    # close radii hide from eps_cancel
+    ccl = zeta.zeta_ccl_at_zero
+
+    def shifted(M, k, P):
+        z0, z0p = ccl(M, k, P)
+        return z0 + 1e-4, z0p
+
+    monkeypatch.setattr(zeta, "zeta_ccl_at_zero", shifted)
+    code, out, _ = run(capsys, "torsion", "--base", "sphere:3", "--eps", "1/2,0.5000001")
+    assert code == 2
+    audits = json.loads(out)["audits"]
+    assert float(audits["eps_cancel"]) < 1e-10 and float(audits["logeps_audit"]) > 1e-5
+
+
 def test_bad_inputs(capsys):
     code, _, err = run(capsys, "torsion", "--base", "worm:3")
     assert code == 1 and "error" in err
@@ -236,6 +269,9 @@ def test_scaling_suite_reports_an_odd_scale_power(monkeypatch, capsys):
     # the lattice count's step budget refuses these at once
     ("spectrum", "--base", "torus:3", "--cutoff", "1000"),
     ("spectrum", "--base", "torus:7", "--cutoff", "1000"),
+    # more sphere lines than the line budget allows
+    ("spectrum", "--base", "sphere:3", "--cutoff", "1e400"),
+    ("spectrum", "--base", "sphere:7", "--cutoff", "1e6"),
 ])
 def test_malformed_numbers_are_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
