@@ -31,6 +31,7 @@ large_nu_term(R, A)), sums to zero over b.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from operator import add
@@ -93,14 +94,18 @@ class Polynomial:
                 del out[k]
         return Polynomial._of(nvars, out)
 
+    def _numerators(self):
+        """(exponent -> integer numerator, common denominator): the lcm of the denominators."""
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        return {k: c.numerator * (den // c.denominator) for k, c in self.coeffs.items()}, den
+
     def __mul__(self, other):
         nvars = self._common_nvars(other)
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = tuple(map(add, k1, k2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return Polynomial._of(nvars, {k: c for k, c in out.items() if c})
+        n1, d1 = self._numerators()
+        n2, d2 = other._numerators()
+        den = d1 * d2
+        return Polynomial._of(nvars, {k: Fraction(c, den)
+                                      for k, c in _convolve(n1, n2).items() if c})
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
@@ -152,12 +157,14 @@ _W_U = Polynomial({(2,): 1, (4,): -1})          # t^2 (1 - t^2)
 _G_U = Polynomial({(0,): 1, (2,): -5})          # 1 - 5 s^2
 _W_V = Polynomial({(3,): 1, (1,): -1})          # t (t^2 - 1)
 
-# The generated families u_r, v_r, D_r, M_r at index r (D_0 = M_0 = 0), behind one lock.
+# The generated families u_r, v_r, D_r, M_r at index r (D_0 = M_0 = 0) and the
+# M-series coefficients w_r = v_r + A t u_{r-1} (w_0 = 1), behind one lock.
 _cache_lock = threading.Lock()
 _u: list[Polynomial] = [_ONE]
 _v: list[Polynomial] = [_ONE]
 _d: list[Polynomial] = [Polynomial({}, 1)]
 _m: list[Polynomial] = [Polynomial({}, 2)]
+_wm: list[Polynomial] = [Polynomial({(0, 0): 1})]
 
 
 def _next_uv(u: Polynomial):
@@ -168,22 +175,42 @@ def _next_uv(u: Polynomial):
     return nxt, nxt + _W_V * transfer
 
 
+def _convolve(a: dict, b: dict) -> dict:
+    """Product of two exponent -> integer dicts, keys in first-seen order (zeros kept)."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(map(add, k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
 def _w(v: Polynomial, u: Polynomial) -> Polynomial:
     """v(t) + A t u(t) in (t, A): the coefficient v_r + A t u_{r-1} of the M-series."""
     return Polynomial({**{(e, 0): c for (e,), c in v.coeffs.items()},
                        **{(e + 1, 1): c for (e,), c in u.coeffs.items()}}, 2)
 
 
-def _log_coefficient(newest: Polynomial, coeff_at, logs: list) -> Polynomial:
+def _log_coefficient(newest: Polynomial, coeffs: list, logs: list) -> Polynomial:
     """Formal-log coefficient l_r of 1 + sum c_i x^i, r = len(logs), from l_j = logs[j].
 
-    Uses r*c_r = sum_{j=1}^r j*l_j*c_{r-j}, with c_r = `newest`, c_i = coeff_at(i) for i < r.
+    Uses r*l_r = r*c_r - sum_{j=1}^{r-1} j*l_j*c_{r-j}, with c_r = `newest` and
+    c_i = coeffs[i] for i < r, summed as integers over one common denominator.
     """
     r = len(logs)
-    acc = newest.scale(r)
+    top, top_den = newest._numerators()
+    products = []
     for j in range(1, r):
-        acc = acc + (logs[j] * coeff_at(r - j)).scale(-j)
-    return acc.scale(Fraction(1, r))
+        (a, da), (b, db) = logs[j]._numerators(), coeffs[r - j]._numerators()
+        products.append((j, _convolve(a, b), da * db))
+    den = math.lcm(top_den, *(d for _j, _p, d in products))
+    acc = {k: r * c * (den // top_den) for k, c in top.items()}
+    for j, product, d in products:
+        f = -j * (den // d)
+        for k, c in product.items():
+            acc[k] = acc.get(k, 0) + c * f
+    den *= r
+    return Polynomial._of(newest.nvars, {k: Fraction(c, den) for k, c in acc.items() if c})
 
 
 def _extend(r: int) -> None:
@@ -195,13 +222,14 @@ def _extend(r: int) -> None:
     while len(_u) <= r:
         i = len(_u)
         u, v = _next_uv(_u[-1])
-        d = _log_coefficient(u, _u.__getitem__, _d)
-        m = _log_coefficient(_w(v, _u[-1]), lambda k: _w(_v[k], _u[k - 1]), _m)
+        w = _w(v, _u[-1])
+        d = _log_coefficient(u, _u, _d)
+        m = _log_coefficient(w, _wm, _m)
         for name, p in (("D", d), ("M", m)):
             off = {k[0] for k in p.coeffs}.difference(range(i, 3 * i + 1, 2))
             if off:
                 raise StructureError(f"{name}_{i} has exponents {sorted(off)} off the ladder")
-        for family, p in zip((_u, _v, _d, _m), (u, v, d, m)):
+        for family, p in zip((_u, _v, _d, _m, _wm), (u, v, d, m, w)):
             family.append(p)
 
 

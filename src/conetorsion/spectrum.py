@@ -116,10 +116,13 @@ class BaseManifold:
             return self.label
         if self.kind == "file":
             return "file"
-        scale = str(self.scale)
-        if len(scale) > 20:
-            scale = str(Context(prec=17).divide(self.scale.numerator, self.scale.denominator)
-                        .normalize()).lower()
+        num, den = self.scale.numerator, self.scale.denominator
+        # 128 bits of numerator and denominator print as more than 20 characters, so a
+        # longer scale is never written out whole (Python refuses past 4300 digits)
+        if num.bit_length() + den.bit_length() <= 128 and len(str(self.scale)) <= 20:
+            scale = str(self.scale)
+        else:
+            scale = str(Context(prec=17).divide(num, den).normalize()).lower()
         fields = [self.kind, str(self.n), str(self.rank), scale]
         while len(fields) > 2 and fields[-1] == "1":
             fields.pop()

@@ -238,11 +238,10 @@ def check_spectrum_duality(cutoff: int = 50):
     """Coclosed spectra agree as multisets between degrees k and n-1-k (exact)."""
     failures = []
     for M in (spectrum.sphere(1), spectrum.sphere(3), spectrum.torus(3)):
+        spectra = [sorted((ln.eta, ln.mult) for ln in spectrum.coclosed_spectrum(M, k, cutoff))
+                   for k in range(M.n)]
         for k in range(M.n):
-            a = sorted((ln.eta, ln.mult) for ln in spectrum.coclosed_spectrum(M, k, cutoff))
-            b = sorted((ln.eta, ln.mult)
-                       for ln in spectrum.coclosed_spectrum(M, M.n - 1 - k, cutoff))
-            if a != b:
+            if spectra[k] != spectra[M.n - 1 - k]:
                 failures.append((M.name, k))
     return _result("duality", not failures, len(failures), 0, {"failures": failures})
 

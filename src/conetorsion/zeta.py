@@ -167,12 +167,12 @@ def _estimated_leading_residue(M: BaseManifold, k: int, P: int):
     if not lines:
         return ctx.mpf(0)
     A2 = DegreeData(k, M.n).A ** 2
-    nus = sorted(math.sqrt(float(ln.eta + A2)) for ln in lines for _ in range(ln.mult))
-    nu_max = nus[-1]
+    freqs = [(math.sqrt(float(ln.eta + A2)), ln.mult) for ln in lines]
+    nu_max = max(v for v, _m in freqs)
     ratios = []
     for frac in (1.0, 0.8, 0.64):
         cut = nu_max * frac
-        cnt = sum(1 for v in nus if v <= cut)
+        cnt = sum(m for v, m in freqs if v <= cut)
         try:
             ratios.append(cnt / cut ** M.n)
         except (OverflowError, ZeroDivisionError):

@@ -5,14 +5,21 @@ determinant ratios and the displayed Bessel-quotient forms of the truncated
 ratios check operators.det_ratio_truncated and t_function, zeta_shifted
 evaluates the exact Hurwitz continuation at any s, and sphere_multiplicity
 gives the sphere multiplicities pointwise from the Weyl dimension formula as
-the reference of the multiplicity polynomials.  The Bessel values come from
+the reference of the multiplicity polynomials.  naive_product multiplies
+polynomials one Fraction product per pair of terms, the reference of
+Polynomial.__mul__, and weyl_fit_per_copy is the leading-residue Weyl fit
+over one float per eigenvalue copy, the reference of the per-line fit of
+file spectra.  The Bessel values come from
 the precision module (mpmath's besseli and besselk, two-sided derivative
 recurrences), not from the operators module's Bessel pack, so the checks share
 no Bessel code with the routes they check.
 """
 
+import math
 from fractions import Fraction
+from operator import add
 
+from conetorsion.olver import Polynomial
 from conetorsion.precision import (
     DEFAULT_DPS,
     DomainError,
@@ -24,7 +31,7 @@ from conetorsion.precision import (
     to_complex,
     to_real,
 )
-from conetorsion.spectrum import BaseManifold
+from conetorsion.spectrum import BaseManifold, DegreeData, UnsupportedManifoldError
 from conetorsion.zeta import shifted_zeta_representation
 
 
@@ -130,3 +137,45 @@ def sphere_multiplicity(n: int, k: int, j: int) -> int:
     if d.denominator != 1:
         raise RuntimeError(f"non-integer multiplicity for n={n}, k={k}, j={j}: {d}")
     return int(d)
+
+
+def naive_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b by one Fraction multiply-add per pair of terms (reference of Polynomial.__mul__)."""
+    nvars = a._common_nvars(b)
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            k = tuple(map(add, k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return Polynomial._of(nvars, {k: c for k, c in out.items() if c})
+
+
+def weyl_fit_per_copy(M: BaseManifold, k: int, P: int):
+    """Richardson-improved Weyl-fit of the leading residue for file spectra.
+
+    One float per eigenvalue copy, sorted (reference of zeta's per-line fit).
+    """
+    ctx = context(P)
+    lines = [ln for ln in M.lines if ln.k == k]
+    if not lines:
+        return ctx.mpf(0)
+    A2 = DegreeData(k, M.n).A ** 2
+    nus = sorted(math.sqrt(float(ln.eta + A2)) for ln in lines for _ in range(ln.mult))
+    nu_max = nus[-1]
+    ratios = []
+    for frac in (1.0, 0.8, 0.64):
+        cut = nu_max * frac
+        cnt = sum(1 for v in nus if v <= cut)
+        try:
+            ratios.append(cnt / cut ** M.n)
+        except (OverflowError, ZeroDivisionError):
+            ratios.append(math.inf)
+    # two Richardson steps on the 1/nu correction of the counting constant
+    c1 = (ratios[0] * 1.0 - ratios[1] * 0.8) / (1.0 - 0.8)
+    c2 = (ratios[1] * 0.8 - ratios[2] * 0.64) / (0.8 - 0.64)
+    C = 2 * c1 - c2
+    if not math.isfinite(C * M.n):
+        raise UnsupportedManifoldError(
+            f"{M.name}: degree {k}: frequencies up to nu = {nu_max:.3g} put the Weyl fit "
+            "of the leading residue outside the floating-point range")
+    return ctx.mpf(C * M.n)

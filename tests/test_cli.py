@@ -100,6 +100,8 @@ def test_parse_base():
     ("torus:7:1:0.25", "torus:7:1:1/4"), ("torus:3:2:2/1", "torus:3:2:2"),
     # scales whose exact text is longer than 20 characters
     ("torus:3:1:1e-300", "torus:3:1:1e-300"), ("torus:3:1:1e400", "torus:3:1:1e+400"),
+    # and longer than the 4300 digits Python writes out
+    ("torus:3:1:1e-5000", "torus:3:1:1e-5000"), ("torus:3:1:1e100000", "torus:3:1:1e+100000"),
 ])
 def test_base_name_is_the_shortest_spec_that_reads_back(spec, name):
     M = parse_base(spec)
@@ -107,6 +109,13 @@ def test_base_name_is_the_shortest_spec_that_reads_back(spec, name):
     assert parse_base(name) == M
     fields = name.split(":")
     assert all(parse_base(":".join(fields[:i])) != M for i in range(2, len(fields)))
+
+
+@pytest.mark.parametrize("scale, name", [("1e-5000", "1e-5000"), ("1e100000", "1e+100000")])
+def test_torsion_reports_on_a_torus_scale_of_thousands_of_digits(capsys, scale, name):
+    code, out, err = run(capsys, "torsion", "--base", f"torus:3:1:{scale}", "--precision", "20")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["base"] == f"torus:3:1:{name}"
 
 
 def test_torsion_sphere1(capsys):

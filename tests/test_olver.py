@@ -22,6 +22,7 @@ from conetorsion.olver import (
     u_poly,
     v_poly,
 )
+from oracles import naive_product
 
 F = Fraction
 
@@ -137,7 +138,7 @@ def test_residual_bracket_from_d_and_m_coefficients(A):
 def cleared_caches():
     """Empty the generated families down to index 0 before and after the test."""
     def clear():
-        for family in (olver._u, olver._v, olver._d, olver._m):
+        for family in (olver._u, olver._v, olver._d, olver._m, olver._wm):
             del family[1:]
     clear()
     yield
@@ -160,7 +161,7 @@ def test_structure_error_when_a_family_leaves_its_ladder(
     with pytest.raises(StructureError, match=message):
         u_poly(1)
     # nothing of the failed index is stored
-    assert [len(f) for f in (olver._u, olver._v, olver._d, olver._m)] == [1, 1, 1, 1]
+    assert [len(f) for f in (olver._u, olver._v, olver._d, olver._m, olver._wm)] == [1] * 5
 
 
 def test_large_nu_term_constant_part():
@@ -193,6 +194,34 @@ def test_ring_laws_randomized(nvars):
         for i in range(nvars):
             assert (a + b).substitute(i, x) == a.substitute(i, x) + b.substitute(i, x)
             assert (a * b).substitute(i, x) == a.substitute(i, x) * b.substitute(i, x)
+
+    inner()
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_product_matches_the_naive_product(nvars):
+    """The common-denominator product equals the term-by-term Fraction product,
+    keys in the same order: negative exponents, zero polynomials, denominators to 10^6."""
+    from hypothesis import example, given, settings, strategies as st
+
+    poly = st.dictionaries(st.tuples(*[st.integers(min_value=-3, max_value=5)] * nvars),
+                           st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                        max_denominator=10 ** 6),
+                           max_size=8).map(lambda d: Polynomial(d, nvars))
+    zero = Polynomial({}, nvars)
+    # (t - 1/3)(t + 1/3) = t^2 - 1/9: the middle terms cancel
+    minus, plus = ({(1,) * nvars: 1, (0,) * nvars: F(s, 3)} for s in (-1, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly, poly)
+    @example(zero, zero)
+    @example(zero, Polynomial({(-2,) * nvars: F(7, 999983)}))
+    @example(Polynomial(minus), Polynomial(plus))
+    def inner(a, b):
+        got, want = a * b, naive_product(a, b)
+        assert got.nvars == want.nvars == nvars
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert all(type(c) is Fraction and c for c in got.coeffs.values())
 
     inner()
 

@@ -16,11 +16,12 @@ from conetorsion.zeta import (
     PoleError,
     base_torsion,
     direct_sum_with_tail,
+    _estimated_leading_residue,
     shifted_zeta_representation,
     zeta_ccl_at_zero,
     zeta_shifted_residue,
 )
-from oracles import zeta_shifted
+from oracles import weyl_fit_per_copy, zeta_shifted
 
 F = Fraction
 S1, S3, S5 = sphere(1), sphere(3), sphere(5)
@@ -212,6 +213,35 @@ def test_file_leading_residue_estimate(tmp_path):
     path.write_text(spectrum_text(sphere(3), 80))
     M = read_spectrum_file(path)
     assert abs(float(zeta_shifted_residue(M, 0, 1, 30)) - 1.0) < 0.15
+
+
+# Degree 0 (A = 1) and degree 1 (A = 0) both reach nu = 25, 20 and 16: the
+# largest frequency and exactly its 0.8 and 0.64 fractions, the fit's two lower cuts.
+TIED_SPECTRUM = """dim=3 rank=1
+betti=1,0,0,1
+0,624,3
+0,399,2
+0,255,5
+0,99,4
+1,625,2
+1,400,7
+1,256,1
+1,9,3
+"""
+
+
+@pytest.mark.parametrize("text", [
+    lambda: spectrum_text(torus(3), 20), lambda: spectrum_text(sphere(3), 80),
+    lambda: TIED_SPECTRUM,
+], ids=["torus3-cutoff20", "sphere3-cutoff80", "tied-at-the-cuts"])
+def test_leading_residue_fit_equals_the_per_copy_reference(tmp_path, text):
+    """One float per line weighted by its multiplicity gives the per-copy fit exactly."""
+    assert (25 * 0.8, 25 * 0.64) == (20.0, 16.0)
+    path = tmp_path / "base.spec"
+    path.write_text(text())
+    M = read_spectrum_file(path)
+    for k in range(M.n):
+        assert _estimated_leading_residue(M, k, 30) == weyl_fit_per_copy(M, k, 30)
 
 
 def test_file_subleading_residue_unavailable(tmp_path):
