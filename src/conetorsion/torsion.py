@@ -14,10 +14,13 @@ Both routes are computed and their agreement is recorded, never assumed.
 
 Both spectral summands read the same per-degree data of the base (zeta(0)
 and zeta'(0) of the coclosed Laplacian, the residual inner sum); a report
-computes it once, in `spectral_pass`, and every assembly step reads it.
-Every summand is a plain number.  A report is approximate exactly when the
-pass is incomplete: only spheres have a complete pass, and their residues
-are exact, so nothing else can make a report approximate.
+computes it once, in `spectral_pass`, from one multiplicity polynomial per
+degree, and every assembly step reads it.  On spheres that data is exact:
+zeta(0) and the inner sums are Fractions and zeta'(0) a log form (see
+`zeta`), so res_spectral and the log(eps) coefficient below are exact, and
+tors is rounded once; elsewhere every summand is a plain number.  A report
+is approximate exactly when the pass is incomplete: only spheres have a
+complete pass, so nothing else can make a report approximate.
 
 With those three numbers the truncated-vs-full difference is an identity,
 
@@ -45,7 +48,8 @@ class TorsionBreakdown:
     """The three named summands of the cone torsion plus bookkeeping.
 
     total = top + tors + res_anomaly; res_spectral is the independent
-    residue-route value of the same term and headline_gap their distance.
+    residue-route value of the same term (a Fraction on spheres) and
+    headline_gap their distance.
     Inside a report a piece the base lacks is None; cone_torsion raises
     instead of returning such a breakdown.
     """
@@ -86,44 +90,58 @@ def top_term(M: BaseManifold, P: int = DEFAULT_DPS):
     return acc
 
 
-def residual_inner_sum(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
-    """sum_r Res(2r+1) * sum_b [2x - z(-A) - z(A)] psi(b + r + 1/2) for one degree."""
-    ctx = context(P)
+def _odd_harmonic(m: int) -> Fraction:
+    """sum_{j<=m} 1/(2j-1): psi(m + 1/2) = -gamma - 2 log 2 + 2 * this (A&S 6.3.4)."""
+    return sum((Fraction(1, 2 * j - 1) for j in range(1, m + 1)), Fraction(0))
+
+
+def residual_inner_sum(M: BaseManifold, k: int, P: int = DEFAULT_DPS,
+                       rep: zeta.ZetaRepresentation | None = None):
+    """sum_r Res(2r+1) * sum_b g_b psi(b + r + 1/2) for one degree, g = residual_bracket(r, A_k).
+
+    At half-integers psi(m + 1/2) = -gamma - 2 log 2 + 2 sum_{j<=m} 1/(2j-1)
+    (Abramowitz-Stegun 6.3.4), so each psi sum is an exact rational plus
+    (sum_b g_b)(-gamma - 2 log 2).  The bracket sums to 0 (a tested fact of
+    `olver`), and the constant is evaluated only where a residue-weighted sum
+    of it is not 0.  On spheres the residues are Fractions, read off `rep`
+    (shifted_zeta_representation(M, k), when the caller has it), and so is the
+    value; on other bases it is their numeric residues times exact rationals.
+    """
     A = M.degree(k).A
-    acc = ctx.mpf(0)
+    acc = constant = 0
     for r in range(1, (M.n - 1) // 2 + 1):
-        residue = zeta.zeta_shifted_residue(M, k, r, P)
+        residue = zeta.zeta_shifted_residue(M, k, r, P) if rep is None else rep.residue_at(2 * r + 1)
         bracket = olver.residual_bracket(r, A)
-        inner = ctx.mpf(0)
-        for b, g in enumerate(bracket):
-            if g:
-                inner += to_real(g, P, ctx) * ctx.digamma(b + r + ctx.mpf(1) / 2)
-        acc += residue * inner
+        rational = sum(g * _odd_harmonic(b + r) for b, g in enumerate(bracket))
+        acc += residue * (2 * rational)
+        constant += residue * sum(bracket)
+    if constant:
+        ctx = context(P)
+        acc += constant * (-ctx.euler - 2 * ctx.log(2))
     return acc
 
 
 def spectral_pass(M: BaseManifold, P: int = DEFAULT_DPS) -> SpectralPass:
-    """Compute each degree's zeta_ccl_at_zero and residual_inner_sum once."""
+    """Compute each degree's zeta_ccl_at_zero and residual_inner_sum once, on
+    spheres from one multiplicity polynomial per degree."""
     degrees = range((M.n - 1) // 2 + 1)
     try:
-        ccl = tuple(zeta.zeta_ccl_at_zero(M, k, P) for k in degrees)
+        reps = [zeta.shifted_zeta_representation(M, k) for k in degrees]
+        ccl = tuple(zeta.zeta_ccl_at_zero(M, k, P, reps[k]) for k in degrees)
     except ApproximateOnlyError:
-        ccl = None
+        reps, ccl = [None] * len(degrees), None
     try:
-        inner = tuple(residual_inner_sum(M, k, P) for k in degrees)
+        inner = tuple(residual_inner_sum(M, k, P, reps[k]) for k in degrees)
     except ApproximateOnlyError:
         inner = None
     return SpectralPass(ccl, inner)
 
 
-def residual_term(M: BaseManifold, inner, P: int = DEFAULT_DPS):
+def residual_term(M: BaseManifold, inner):
     """The residual summand of the cone torsion (the quarter-weighted form) from
-    the per-degree residual_inner_sum values; the truncated-cone torsion is twice this."""
-    ctx = context(P)
-    acc = ctx.mpf(0)
-    for k, value in enumerate(inner):
-        acc += ctx.mpf((-1) ** k) / 4 * to_real(M.degree(k).delta, P, ctx) * value
-    return acc
+    the per-degree residual_inner_sum values, exact when they are; the
+    truncated-cone torsion is twice this."""
+    return sum(Fraction((-1) ** k, 4) * M.degree(k).delta * value for k, value in enumerate(inner))
 
 
 def _check_eps(eps) -> Fraction:
@@ -133,18 +151,17 @@ def _check_eps(eps) -> Fraction:
     return eps
 
 
-def log_eps_coefficient(M: BaseManifold, terms: SpectralPass, P: int = DEFAULT_DPS):
+def log_eps_coefficient(M: BaseManifold, terms: SpectralPass):
     """c = -sum_k (-1)^k delta_k zeta(0, ccl_k) + (1/2) sum_k (-1)^k k b_k, the
-    log(eps) coefficient of the torsion difference (zero when zeta(0) matches the Betti numbers)."""
-    ctx = context(P)
-    c = ctx.mpf(0)
-    for k, (z0, _z0p) in enumerate(terms.ccl):
-        c += ctx.mpf((-1) ** k) / 2 * to_real(M.degree(k).delta, P, ctx) * (-2) * z0
-    return c + ctx.mpf(sum((-1) ** k * k * betti(M, k) for k in range(M.n + 1))) / 2
+    log(eps) coefficient of the torsion difference (zero when zeta(0) matches the
+    Betti numbers), exact when the zeta(0) are."""
+    c = sum(-(-1) ** k * M.degree(k).delta * z0 for k, (z0, _z0p) in enumerate(terms.ccl))
+    return c + Fraction(sum((-1) ** k * k * betti(M, k) for k in range(M.n + 1)), 2)
 
 
 def _difference(bd: TorsionBreakdown, c, eps: Fraction, ctx):
-    return bd.res_spectral - bd.top - bd.tors + c * ctx.log(to_real(eps, ctx=ctx))
+    res = to_real(bd.res_spectral, ctx=ctx)
+    return res - bd.top - bd.tors + c * ctx.log(to_real(eps, ctx=ctx))
 
 
 def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
@@ -159,7 +176,7 @@ def torsion_difference(M: BaseManifold, eps, P: int = DEFAULT_DPS,
     if not terms.complete:
         raise ApproximateOnlyError(
             f"{M.name}: the torsion difference needs exact zeta'(0, ccl_k) and residues")
-    return _difference(_breakdown(M, terms, P), log_eps_coefficient(M, terms, P), eps, context(P))
+    return _difference(_breakdown(M, terms, P), log_eps_coefficient(M, terms), eps, context(P))
 
 
 def collar_curvature(M: BaseManifold) -> Fraction:
@@ -192,12 +209,13 @@ def truncated_cone_torsion(M: BaseManifold, P: int = DEFAULT_DPS):
     """log torsion of the truncated cone, both ways.
 
     Returns (spectral, anomaly, gap): the half-weighted residue form
-    (epsilon-free), rank * anomaly-class integral, and their distance.
+    (epsilon-free, a Fraction on spheres), rank * anomaly-class integral, and
+    their distance.
     """
     inner = [residual_inner_sum(M, k, P) for k in range((M.n - 1) // 2 + 1)]
-    spectral = 2 * residual_term(M, inner, P)
+    spectral = 2 * residual_term(M, inner)
     anomaly = anomaly_integral(M, P)
-    return spectral, anomaly, abs(spectral - anomaly)
+    return spectral, anomaly, abs(anomaly - to_real(spectral, P))
 
 
 def _breakdown(M: BaseManifold, terms: SpectralPass, P: int) -> TorsionBreakdown:
@@ -206,7 +224,7 @@ def _breakdown(M: BaseManifold, terms: SpectralPass, P: int) -> TorsionBreakdown
     tors = None
     if terms.ccl is not None:
         tors = -zeta.base_torsion(M, P, [z0p for _z0, z0p in terms.ccl]) / 2
-    res_spec = None if terms.inner is None else residual_term(M, terms.inner, P)
+    res_spec = None if terms.inner is None else residual_term(M, terms.inner)
     try:
         res_anom = anomaly_integral(M, P) / 2
     except ApproximateOnlyError:
@@ -217,7 +235,8 @@ def _breakdown(M: BaseManifold, terms: SpectralPass, P: int) -> TorsionBreakdown
         res_spectral=res_spec,
         res_anomaly=res_anom,
         total=None if tors is None or res_anom is None else top + tors + res_anom,
-        headline_gap=None if res_spec is None or res_anom is None else abs(res_spec - res_anom),
+        headline_gap=None if res_spec is None or res_anom is None
+        else abs(res_anom - to_real(res_spec, P)),
     )
 
 
@@ -238,7 +257,7 @@ def torsion_report(M: BaseManifold, P: int = DEFAULT_DPS, eps_list=(Fraction(1, 
     ctx = context(P)
 
     def fmt(x):
-        return None if x is None else ctx.nstr(ctx.mpf(x), P, strip_zeros=False)
+        return None if x is None else ctx.nstr(to_real(x, P, ctx), P, strip_zeros=False)
 
     out = {"base": M.name, "n": M.n, "rank": M.rank, "precision": P}
     terms = spectral_pass(M, P)
@@ -249,7 +268,7 @@ def torsion_report(M: BaseManifold, P: int = DEFAULT_DPS, eps_list=(Fraction(1, 
     if not terms.complete:
         audits["eps_cancel"] = None
     else:
-        c = log_eps_coefficient(M, terms, P)
+        c = log_eps_coefficient(M, terms)
         diffs = [_difference(bd, c, _check_eps(e), ctx) for e in eps_list]
         audits["eps_cancel"] = fmt(max(abs(d - diffs[0]) for d in diffs))
         audits["logeps_audit"] = fmt(abs(c))

@@ -5,11 +5,20 @@ For a base degree k the shifted zeta function is
     zeta_{k,N}(s) = sum over coclosed eigenvalues eta > 0 of nu(eta)^(-s),
     nu = sqrt(eta + A_k^2),  A_k = (n-1)/2 - k.
 
-On round spheres nu runs over an arithmetic progression with polynomial
-multiplicities, so the whole function is a finite combination of Hurwitz
-zetas: that reduction (not heat-trace coefficients, and not numerical Mellin
-transforms) is the continuation vehicle here, making residues and values at
-s = 0 exact to working precision.
+On round spheres nu runs over the integers from x0 = (n+1)/2 on with
+polynomial multiplicities, so the whole function is a finite combination
+sum_p a_p zeta_H(s - p, x0) of Hurwitz zetas at an integer shift.  At integer
+shifts m and negative integers the Hurwitz function reduces to finite sums,
+
+    zeta_H(-p, m)  = -B_{p+1}(m) / (p+1)     (Apostol, Introduction to
+                                               Analytic Number Theory, Thm 12.13),
+    zeta_H'(-q, m) = zeta'(-q) + sum_{2<=j<m} j^q log j,
+
+and that integer-shift reduction (not heat-trace coefficients, not numerical
+Mellin transforms, and not mpmath's Hurwitz zeta, which only the tests
+evaluate, as the independent reference) is the continuation here: residues
+and zeta(0) are exact rationals, and zeta'(0) is an exact rational
+combination of the atoms zeta'(-q) and log j, rounded only when evaluated.
 
 The tests check it against identities that share no code with it:
 zeta(0, ccl_k) = -sum_{j<=k} (-1)^(k-j) b_j (no constant heat coefficient
@@ -25,6 +34,7 @@ s = n; a torsion report on such a base is flagged approximate.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -37,15 +47,6 @@ from .spectrum import (
     nu_stream,
     sphere_multiplicity_polynomial,
 )
-
-
-class PoleError(ArithmeticError):
-    """Evaluation at a pole; carries the location and the exact residue."""
-
-    def __init__(self, location, residue):
-        super().__init__(f"zeta function has a simple pole at s = {location}")
-        self.location = location
-        self.residue = residue
 
 
 class ApproximateOnlyError(UnsupportedManifoldError):
@@ -65,24 +66,6 @@ class ZetaRepresentation:
 
     def residue_at(self, s0) -> Fraction:
         return self.weights.coeffs.get((Fraction(s0) - 1,), Fraction(0))
-
-    def value(self, s, P: int = DEFAULT_DPS):
-        ctx = context(P)
-        if isinstance(s, (int, Fraction)):
-            s_f = Fraction(s)
-            if (s_f - 1,) in self.weights.coeffs:
-                raise PoleError(s_f, self.residue_at(s_f))
-            s_m = to_real(s_f, P, ctx)
-        else:
-            s_m = ctx.mpc(s)
-        acc = ctx.mpc(0)
-        a = to_real(self.shift, P, ctx)
-        for (p,), c in sorted(self.weights.coeffs.items()):
-            arg = s_m - p
-            if arg == 1:
-                raise PoleError(Fraction(p + 1), self.residue_at(Fraction(p + 1)))
-            acc += to_real(c, P, ctx) * ctx.zeta(arg, a)
-        return acc.real if acc.imag == 0 else acc
 
 
 def shifted_zeta_representation(M: BaseManifold, k: int) -> ZetaRepresentation:
@@ -124,14 +107,15 @@ def direct_sum_with_tail(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS, cutof
 
 
 def zeta_shifted_residue(M: BaseManifold, k: int, r: int, P: int = DEFAULT_DPS):
-    """Residue of zeta_{k,N} at s = 2r+1 (estimated for file spectra)."""
+    """Residue of zeta_{k,N} at s = 2r+1: an exact Fraction on spheres, a number
+    at precision P on tori, and an estimate for file spectra."""
     if r < 1:
         raise ValueError("r must be >= 1")
     s0 = Fraction(2 * r + 1)
     if s0 > M.n:
         raise ValueError(f"s = {s0} is beyond the pole range of an n = {M.n} base")
     if M.kind == "sphere":
-        return to_real(shifted_zeta_representation(M, k).residue_at(s0), P)
+        return shifted_zeta_representation(M, k).residue_at(s0)
     if M.kind == "torus":
         return _torus_residue(M, k, r, P)
     if s0 != M.n:
@@ -192,8 +176,28 @@ def _estimated_leading_residue(M: BaseManifold, k: int, P: int):
 # The coclosed Laplacian at s = 0 and the base torsion (exact, spheres)
 
 
-def zeta_ccl_at_zero(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
-    """(zeta(0), zeta'(0)) of the coclosed form Laplacian in degree k (spheres).
+@functools.lru_cache(maxsize=None)
+def _bernoulli(j: int) -> Fraction:
+    """The Bernoulli number B_j, with B_1 = -1/2: sum_{i<=j} C(j+1, i) B_i = 0 for j >= 1."""
+    if j == 0:
+        return Fraction(1)
+    return -sum(math.comb(j + 1, i) * _bernoulli(i) for i in range(j)) / Fraction(j + 1)
+
+
+def _hurwitz_at_negative_integer(p: int, m: int) -> Fraction:
+    """zeta_H(-p, m) = -B_{p+1}(m) / (p+1), with B_d(x) = sum_i C(d, i) B_i x^(d-i)."""
+    d = p + 1
+    return -sum(math.comb(d, i) * _bernoulli(i) * m ** (d - i) for i in range(d + 1)) / d
+
+
+def zeta_ccl_at_zero(M: BaseManifold, k: int, P: int = DEFAULT_DPS,
+                     rep: ZetaRepresentation | None = None):
+    """(zeta(0), zeta'(0)) of the coclosed form Laplacian in degree k (spheres), exactly.
+
+    zeta(0) is a Fraction and zeta'(0) a log form: a dict from the atoms
+    ("zeta'", q), standing for zeta'(-q), and ("log", j), for log j, to
+    Fraction coefficients; `log_form_value` rounds it.  Neither depends on
+    P.  `rep` is shifted_zeta_representation(M, k) when the caller has it.
 
     The coclosed eigenvalues factor as eta = (nu - A)(nu + A), A = A_k, and
     zeta'(0) is the sum of the derivatives of the two linear spectra,
@@ -201,7 +205,10 @@ def zeta_ccl_at_zero(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
         zeta'(0, ccl_k) = sum_{+-} sum_q c^{+-}_q zeta_H'(-q, (n+1)/2 -+ A),
 
     with c^{+-} the multiplicity polynomial rewritten in w = nu -+ A.  The
-    Hurwitz shifts are 1 + k and n - k, both positive for k < n.
+    Hurwitz shifts are the integers 1 + k and n - k, both positive for k < n,
+    so each zeta_H'(-q, m) is zeta'(-q) + sum_{2<=j<m} j^q log j, and
+    zeta(0) = sum_p a_p zeta_H(-p, (n+1)/2) with zeta_H(-p, m) =
+    -B_{p+1}(m)/(p+1) (Apostol, Thm 12.13).
 
     No multiplicative-anomaly term is needed.  With zeta_N = zeta_{k,N}, the
     binomial expansion of (1 -+ A/nu)^(-s) gives
@@ -220,34 +227,58 @@ def zeta_ccl_at_zero(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
     sum_i C(-s, i) (-A^2)^i zeta_N(2s + 2i).  At s = 0 itself every i >= 1
     term vanishes, so zeta(0, ccl_k) = zeta_N(0).
     """
-    rep = shifted_zeta_representation(M, k)
-    z0 = rep.value(0, P)
-    ctx = context(P)
-    z0p = ctx.mpf(0)
+    if rep is None:
+        rep = shifted_zeta_representation(M, k)
+    z0 = sum((c * _hurwitz_at_negative_integer(p, int(rep.shift))
+              for (p,), c in rep.weights.coeffs.items()), Fraction(0))
+    z0p = {}
     A = DegreeData(k, M.n).A
     for shift in (A, -A):
-        a = to_real(rep.shift - shift, P, ctx)
-        for (q,), c in sorted(_shift_polynomial_variable(rep.weights, shift).coeffs.items()):
-            z0p += to_real(c, P, ctx) * ctx.zeta(-q, a, 1)
+        m = int(rep.shift - shift)
+        for (q,), c in _shift_polynomial_variable(rep.weights, shift).coeffs.items():
+            z0p["zeta'", q] = z0p.get(("zeta'", q), 0) + c
+            for j in range(2, m):
+                z0p["log", j] = z0p.get(("log", j), 0) + c * j ** q
     return z0, z0p
+
+
+def log_form_value(form: dict, P: int = DEFAULT_DPS):
+    """A log form of zeta_ccl_at_zero at precision P; atoms with coefficient 0 are skipped.
+
+    zeta'(0) is -log(2 pi)/2; only a zeta'(-q), q >= 1, calls mpmath's zeta.
+    """
+    ctx = context(P)
+    acc = ctx.mpf(0)
+    for (atom, j), c in sorted(form.items()):
+        if not c:
+            continue
+        if atom == "log":
+            x = ctx.log(j)
+        elif j == 0:
+            x = -ctx.log(2 * ctx.pi) / 2
+        else:
+            x = ctx.zeta(-j, 1, 1)
+        acc += to_real(c, P, ctx) * x
+    return acc
 
 
 def base_torsion(M: BaseManifold, P: int = DEFAULT_DPS, zeta_primes=None):
     """log of the scalar analytic torsion of the closed base (N, g^N).
 
-    Assembled from coclosed data: - sum_{k <= (n-1)/2} (-1)^k delta_k zeta'(0, ccl_k).
-    `zeta_primes` holds those zeta'(0, ccl_k), k = 0..(n-1)/2, when the
-    caller has them already.
+    Assembled from coclosed data: - sum_{k <= (n-1)/2} (-1)^k delta_k zeta'(0, ccl_k),
+    summed exactly as a log form and rounded once.  `zeta_primes` holds
+    those zeta'(0, ccl_k) forms, k = 0..(n-1)/2, when the caller has them already.
     """
     if M.kind != "sphere":
         raise ApproximateOnlyError(f"base torsion requires an exact continuation; {M.name} has none")
     if zeta_primes is None:
         zeta_primes = [zeta_ccl_at_zero(M, k, P)[1] for k in range((M.n - 1) // 2 + 1)]
-    ctx = context(P)
-    acc = ctx.mpf(0)
-    for k, z0p in enumerate(zeta_primes):
-        acc += (-1) ** k * to_real(M.degree(k).delta, P, ctx) * z0p
-    return -acc
+    total = {}
+    for k, form in enumerate(zeta_primes):
+        weight = (-1) ** k * M.degree(k).delta
+        for atom, c in form.items():
+            total[atom] = total.get(atom, 0) - weight * c
+    return log_form_value(total, P)
 
 
 def _shift_polynomial_variable(poly: Polynomial, shift: Fraction) -> Polynomial:

@@ -3,7 +3,11 @@
 The tests compare the package's routes against them: the full-cone
 determinant ratios and the displayed Bessel-quotient forms of the truncated
 ratios check operators.det_ratio_truncated and t_function, zeta_shifted
-evaluates the exact Hurwitz continuation at any s, and sphere_multiplicity
+evaluates the Hurwitz combination of the sphere zeta functions with mpmath's
+Hurwitz zeta at any s, zeta_ccl_at_zero_hurwitz and
+residual_inner_sum_digamma are the routes the integer-shift reduction and
+the half-integer digamma closed form replaced (mpmath's Hurwitz zeta, zeta'
+and digamma at working precision), and sphere_multiplicity
 gives the sphere multiplicities pointwise from the Weyl dimension formula as
 the reference of the multiplicity polynomials.  naive_product multiplies
 polynomials one Fraction product per pair of terms, the reference of
@@ -19,6 +23,7 @@ import math
 from fractions import Fraction
 from operator import add
 
+from conetorsion import olver
 from conetorsion.olver import Polynomial
 from conetorsion.precision import (
     DEFAULT_DPS,
@@ -32,7 +37,12 @@ from conetorsion.precision import (
     to_real,
 )
 from conetorsion.spectrum import BaseManifold, DegreeData, UnsupportedManifoldError
-from conetorsion.zeta import shifted_zeta_representation
+from conetorsion.zeta import (
+    ZetaRepresentation,
+    _shift_polynomial_variable,
+    shifted_zeta_representation,
+    zeta_shifted_residue,
+)
 
 
 def det_ratio_full_cone(variant: str, nu, A, z, P: int = DEFAULT_DPS):
@@ -97,13 +107,74 @@ def det_ratio_truncated_displayed(variant: str, nu, A, z, eps, P: int = DEFAULT_
     return val.real if val.imag == 0 else val
 
 
+class PoleError(ArithmeticError):
+    """Evaluation at a pole; carries the location and the exact residue."""
+
+    def __init__(self, location, residue):
+        super().__init__(f"zeta function has a simple pole at s = {location}")
+        self.location = location
+        self.residue = residue
+
+
+def hurwitz_value(rep: ZetaRepresentation, s, P: int = DEFAULT_DPS):
+    """sum_p a_p zeta_H(s - p, x0) with mpmath's Hurwitz zeta."""
+    ctx = context(P)
+    if isinstance(s, (int, Fraction)):
+        s_f = Fraction(s)
+        if (s_f - 1,) in rep.weights.coeffs:
+            raise PoleError(s_f, rep.residue_at(s_f))
+        s_m = to_real(s_f, P, ctx)
+    else:
+        s_m = ctx.mpc(s)
+    acc = ctx.mpc(0)
+    a = to_real(rep.shift, P, ctx)
+    for (p,), c in sorted(rep.weights.coeffs.items()):
+        arg = s_m - p
+        if arg == 1:
+            raise PoleError(Fraction(p + 1), rep.residue_at(Fraction(p + 1)))
+        acc += to_real(c, P, ctx) * ctx.zeta(arg, a)
+    return acc.real if acc.imag == 0 else acc
+
+
 def zeta_shifted(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS):
-    """zeta_{k,N}(s) by the exact continuation (spheres only).
+    """zeta_{k,N}(s) by the Hurwitz combination (spheres only).
 
     Other bases raise ApproximateOnlyError; direct_sum_with_tail is their
     partial sum with its tail bound.
     """
-    return shifted_zeta_representation(M, k).value(s, P)
+    return hurwitz_value(shifted_zeta_representation(M, k), s, P)
+
+
+def zeta_ccl_at_zero_hurwitz(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
+    """(zeta(0), zeta'(0)) of the coclosed Laplacian in degree k (spheres) at
+    precision P, from mpmath's Hurwitz zeta and zeta' at the shifts 1 + k and n - k."""
+    rep = shifted_zeta_representation(M, k)
+    z0 = hurwitz_value(rep, 0, P)
+    ctx = context(P)
+    z0p = ctx.mpf(0)
+    A = DegreeData(k, M.n).A
+    for shift in (A, -A):
+        a = to_real(rep.shift - shift, P, ctx)
+        for (q,), c in sorted(_shift_polynomial_variable(rep.weights, shift).coeffs.items()):
+            z0p += to_real(c, P, ctx) * ctx.zeta(-q, a, 1)
+    return z0, z0p
+
+
+def residual_inner_sum_digamma(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
+    """sum_r Res(2r+1) * sum_b [2x - z(-A) - z(A)] psi(b + r + 1/2) for one degree,
+    with mpmath's digamma."""
+    ctx = context(P)
+    A = M.degree(k).A
+    acc = ctx.mpf(0)
+    for r in range(1, (M.n - 1) // 2 + 1):
+        residue = zeta_shifted_residue(M, k, r, P)
+        bracket = olver.residual_bracket(r, A)
+        inner = ctx.mpf(0)
+        for b, g in enumerate(bracket):
+            if g:
+                inner += to_real(g, P, ctx) * ctx.digamma(b + r + ctx.mpf(1) / 2)
+        acc += residue * inner
+    return acc
 
 
 def _weyl_dim_sphere(n: int, kprime: int, j: int) -> Fraction:

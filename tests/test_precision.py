@@ -59,8 +59,9 @@ def test_bessel_series_oracle_doubled_precision():
     assert abs(got - series) / abs(series) < mp.mpf(10) ** (5 - P)
 
 
-# The zeta and torsion layers call digamma and Hurwitz zeta (and its
-# s-derivative) directly on the contexts that context(P) returns.
+# The test oracles call digamma and Hurwitz zeta (and its s-derivative)
+# directly on the contexts that context(P) returns; the package itself reaches
+# them only through the exact integer-shift and half-integer closed forms.
 
 
 def test_digamma_classical_values():

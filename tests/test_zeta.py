@@ -1,5 +1,7 @@
 """Zeta continuations: values, residues, base torsion, and the topological
-identities that check the Hurwitz continuation without sharing its code."""
+identities that check the integer-shift continuation without sharing its code;
+mpmath's Hurwitz zeta, zeta' and digamma (tests/oracles.py) are its numeric
+reference."""
 
 import math
 from fractions import Fraction
@@ -10,18 +12,25 @@ import pytest
 from conetorsion.precision import context, to_real
 from conetorsion.spectrum import (
     DegreeData, betti, sphere, torus, spectrum_text, read_spectrum_file)
-from conetorsion.torsion import volume
+from conetorsion.torsion import residual_inner_sum, volume
 from conetorsion.zeta import (
     ApproximateOnlyError,
-    PoleError,
     base_torsion,
     direct_sum_with_tail,
     _estimated_leading_residue,
+    log_form_value,
     shifted_zeta_representation,
     zeta_ccl_at_zero,
     zeta_shifted_residue,
 )
-from oracles import weyl_fit_per_copy, zeta_shifted
+from oracles import (
+    PoleError,
+    hurwitz_value,
+    residual_inner_sum_digamma,
+    weyl_fit_per_copy,
+    zeta_ccl_at_zero_hurwitz,
+    zeta_shifted,
+)
 
 F = Fraction
 S1, S3, S5 = sphere(1), sphere(3), sphere(5)
@@ -112,22 +121,30 @@ def test_pole_parity():
 def test_zeta_zero_betti():
     # no constant heat coefficient on a closed odd-dimensional manifold, so
     # zeta(0, Delta_k) = -b_k; the nonzero spectrum of Delta_k is ccl_k + ccl_{k-1}
-    P = 40
-    ctx = context(P)
     for n in (1, 3, 5, 7):
         for rank in (1, 2):
             M = sphere(n, rank)
             for k in range(n):
                 expected = -sum((-1) ** (k - j) * betti(M, j) for j in range(k + 1))
-                got = shifted_zeta_representation(M, k).value(0, P)
-                assert abs(got - expected) < ctx.mpf(10) ** (5 - P), (n, rank, k)
+                assert zeta_ccl_at_zero(M, k, 40)[0] == expected, (n, rank, k)
 
 
 def test_circle_ccl_at_zero():
     ctx = context(40)
     z0, z0p = zeta_ccl_at_zero(S1, 0, 40)
     assert z0 == -1
-    assert abs(z0p + 2 * ctx.log(2 * ctx.pi)) < ctx.mpf("1e-45")
+    assert z0p == {("zeta'", 0): 4}
+    assert abs(log_form_value(z0p, 40) + 2 * ctx.log(2 * ctx.pi)) < ctx.mpf("1e-45")
+
+
+def test_log_form_atoms():
+    # zeta'(0) = -log(2 pi)/2, zeta'(-1) = 1/12 - log A (Glaisher), and zero terms are skipped
+    P = 40
+    ctx = context(P)
+    assert abs(log_form_value({("zeta'", 0): 1}, P) + ctx.log(2 * ctx.pi) / 2) < ctx.mpf("1e-45")
+    assert abs(log_form_value({("zeta'", 1): 1}, P) - (ctx.mpf(1) / 12 - ctx.log(ctx.glaisher))
+               ) < ctx.mpf("1e-45")
+    assert abs(log_form_value({("log", 4): 1, ("log", 2): -2, ("log", 3): 0}, P)) < ctx.mpf("1e-45")
 
 
 def _series_ccl_prime(M, k, P):
@@ -149,7 +166,7 @@ def _series_ccl_prime(M, k, P):
     A2 = ctx.mpf(A.numerator) ** 2 / A.denominator ** 2
     tol = ctx.mpf(10) ** (-(P + 5))
     for i in range(1, 2000):
-        term = A2 ** i / i * rep.value(2 * i, P)
+        term = A2 ** i / i * hurwitz_value(rep, 2 * i, P)
         acc += term
         if abs(term) < tol and i > 2:
             return acc
@@ -162,15 +179,32 @@ def test_ccl_closed_form_matches_series(n):
     P = 60
     for k in range(n + 1):
         _z0, z0p = zeta_ccl_at_zero(M, k, P)
-        assert abs(z0p - _series_ccl_prime(M, k, P)) < mp.mpf(10) ** -55, (n, k)
+        assert abs(log_form_value(z0p, P) - _series_ccl_prime(M, k, P)) < mp.mpf(10) ** -55, (n, k)
 
 
 def test_ccl_precision_doubling():
+    # the pair is exact, so P only fixes where the log form is rounded
     for M, k in ((S3, 1), (S3, 0)):
         z0a, z0pa = zeta_ccl_at_zero(M, k, 40)
         z0b, z0pb = zeta_ccl_at_zero(M, k, 80)
-        assert abs(mp.mpmathify(z0a) - mp.mpmathify(z0b)) < mp.mpf(10) ** -35
-        assert abs(mp.mpmathify(z0pa) - mp.mpmathify(z0pb)) < mp.mpf(10) ** -35
+        assert (z0a, z0pa) == (z0b, z0pb)
+        assert abs(log_form_value(z0pa, 40) - log_form_value(z0pb, 80)) < mp.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("P", [50, 100])
+def test_exact_sphere_data_matches_the_hurwitz_reference(P):
+    """zeta(0), zeta'(0) and the residual inner sum of every degree against
+    mpmath's Hurwitz zeta, zeta' and digamma, to 10^(5-P) relative to max(1, |reference|)."""
+    for n in (1, 3, 5, 7):
+        for rank in (1, 2):
+            M = sphere(n, rank)
+            for k in range(n):
+                z0, z0p = zeta_ccl_at_zero(M, k, P)
+                ref0, ref0p = zeta_ccl_at_zero_hurwitz(M, k, P)
+                pairs = [(z0, ref0), (log_form_value(z0p, P), ref0p),
+                         (residual_inner_sum(M, k, P), residual_inner_sum_digamma(M, k, P))]
+                for got, ref in pairs:
+                    assert abs(ref - to_real(got, P)) <= mp.mpf(10) ** (5 - P) * max(1, abs(ref)), (n, rank, k)
 
 
 def test_base_torsion_circle():
