@@ -145,6 +145,8 @@ def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     if args.rmax < 1:
         raise UsageError(f"--rmax must be >= 1, got {args.rmax}")
+    if args.rmax > verify.MAX_RMAX:
+        raise UsageError(f"--rmax {args.rmax} is beyond the {verify.MAX_RMAX} that the dm suite supports")
     lines = []
     all_passed = True
     for name in names:

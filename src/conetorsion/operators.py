@@ -451,7 +451,7 @@ def _brent_roots(F, xa, xb, fa, fb):
     raise RootIsolationError(f"{len(todo)} brackets not refined in {_BRENT_MAXITER} iterations")
 
 
-def eigenvalues_oracle(op: ModelOperator, count: int, verify_winding: bool = True):
+def eigenvalues_oracle(op: ModelOperator, count: int):
     """First `count` eigenvalues lambda_i = mu_i^2 of the model operator.
 
     Dense sign scan at roughly twelve samples per expected spacing, one
@@ -480,7 +480,7 @@ def eigenvalues_oracle(op: ModelOperator, count: int, verify_winding: bool = Tru
     diffs = np.diff(roots)
     if np.any(diffs <= 0):
         raise RootIsolationError("eigenvalues failed strict interlacing")
-    if verify_winding and op.eps is not None:
+    if op.eps is not None:
         lo, hi = roots[0] * 0.5, roots[-1] + 0.45 * spacing
         w = _winding_count(op, lo, hi, samples=max(400, count * 24))
         if w != count:
@@ -516,18 +516,15 @@ def _log_product_estimate(lam: np.ndarray, length: float, w2: float) -> float:
     return logprod + w2 * sum_inv2 - 0.5 * w2 ** 2 * sum_inv4
 
 
-def det_ratio_oracle(op: ModelOperator, z, count: int = 240, eigenvalues=None):
-    """Eigenvalue-product estimate of det(L + nu^2 z^2)/det(L).
+def det_ratio_oracle(op: ModelOperator, z, eigenvalues):
+    """Eigenvalue-product estimate of det(L + nu^2 z^2)/det(L) from the
+    operator's first eigenvalues (eigenvalues_oracle).
 
     The value prod_i (1 + (nu z)^2 / lambda_i) with a fitted tail, Richardson
     extrapolated in the truncation length (the systematic tail-model error
-    scales like 1/M^2).  Double precision; ~1e-8 relative at count = 240,
-    backing the 1e-6 oracle comparisons.  `eigenvalues`, when given, are the
-    operator's first eigenvalues (as from eigenvalues_oracle) and stand in
-    for the `count` it would compute.
+    scales like 1/M^2).  Double precision; ~1e-8 relative from 240
+    eigenvalues, backing the 1e-6 oracle comparisons.
     """
-    if eigenvalues is None:
-        eigenvalues = eigenvalues_oracle(op, count)
     lam = np.asarray(eigenvalues, dtype=float)
     w2 = (float(op.nu) * float(z)) ** 2
     l_half = _log_product_estimate(lam[: len(lam) // 2], op.length, w2)
@@ -535,8 +532,9 @@ def det_ratio_oracle(op: ModelOperator, z, count: int = 240, eigenvalues=None):
     return math.exp(l_full + (l_full - l_half) / 3.0)
 
 
-def zeta_det_oracle(op: ModelOperator, count: int = 300, eigenvalues=None):
-    """Numerical zeta determinant exp(-zeta'(0)) from brute-force eigenvalues.
+def zeta_det_oracle(op: ModelOperator, eigenvalues):
+    """Numerical zeta determinant exp(-zeta'(0)) from the operator's first
+    eigenvalues (eigenvalues_oracle).
 
     zeta'(0) is continued with the fitted eigenvalue asymptotics
     mu_i = (pi/L)(i + q + a1/i + a2/i^2 + a3/i^3): the partial sum of
@@ -548,8 +546,6 @@ def zeta_det_oracle(op: ModelOperator, count: int = 300, eigenvalues=None):
     free Dirichlet operator (det = 2L), which pins the normalization.
     """
     import mpmath as mp
-    if eigenvalues is None:
-        eigenvalues = eigenvalues_oracle(op, count)
     lam = np.asarray(eigenvalues, dtype=float)
     mus = np.sqrt(lam)
     c, (q, a1, a2, a3) = _tail_fit(mus, op.length)

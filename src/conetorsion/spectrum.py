@@ -289,18 +289,14 @@ def _torus_lines(M: BaseManifold, degrees, cutoff: Fraction) -> list:
 # Public spectral interface
 
 
-def coclosed_spectrum(M: BaseManifold, k: int, cutoff) -> list:
-    """All coclosed spectral lines of degree k with nu = sqrt(eta + A_k^2) <= cutoff.
+def coclosed_spectrum(M: BaseManifold, degrees, cutoff) -> list:
+    """The coclosed spectral lines of each of the given degrees k in turn, those
+    with nu = sqrt(eta + A_k^2) <= cutoff, each degree's ordered by eigenvalue.
 
-    Cutoff is inclusive; ties are included.  Ordered by eigenvalue.
+    Cutoff is inclusive; ties are included.  A torus counts its lattice once.
     """
-    if not 0 <= k <= M.n:
+    if any(not 0 <= k <= M.n for k in degrees):
         raise ValueError(f"degree k must lie in 0..{M.n}")
-    return _coclosed_lines(M, (k,), cutoff)
-
-
-def _coclosed_lines(M: BaseManifold, degrees, cutoff) -> list:
-    """coclosed_spectrum of each degree in turn; a torus counts its lattice once."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -326,7 +322,7 @@ def nu_stream(M: BaseManifold, k: int, cutoff) -> list:
     """
     A2 = DegreeData(k, M.n).A ** 2
     out = []
-    for ln in coclosed_spectrum(M, k, cutoff):
+    for ln in coclosed_spectrum(M, (k,), cutoff):
         s = ln.eta + A2
         rn, rd = math.isqrt(s.numerator), math.isqrt(s.denominator)
         exact = rn * rn == s.numerator and rd * rd == s.denominator
@@ -341,7 +337,7 @@ def nu_stream(M: BaseManifold, k: int, cutoff) -> list:
 def spectrum_text(M: BaseManifold, cutoff) -> str:
     lines = [f"dim={M.n} rank={M.rank}"]
     lines.append("betti=" + ",".join(str(betti(M, k)) for k in range(M.n + 1)))
-    for ln in _coclosed_lines(M, range(M.n + 1), cutoff):
+    for ln in coclosed_spectrum(M, range(M.n + 1), cutoff):
         lines.append(f"{ln.k},{_format_rational(ln.eta)},{ln.mult}")
     return "\n".join(lines) + "\n"
 

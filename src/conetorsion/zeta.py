@@ -53,30 +53,6 @@ class ApproximateOnlyError(UnsupportedManifoldError):
     """The requested quantity has no exact continuation for this base."""
 
 
-class ZetaRepresentation:
-    """Finite Hurwitz combination sum_p a_p zeta_H(s - p, x0) (exact, spheres).
-
-    `weights` is the multiplicity polynomial sum_p a_p x^p in x = nu; `shift`
-    is the first frequency x0.
-    """
-
-    def __init__(self, weights: Polynomial, shift: Fraction):
-        self.weights = weights
-        self.shift = Fraction(shift)
-
-    def residue_at(self, s0) -> Fraction:
-        return self.weights.coeffs.get((Fraction(s0) - 1,), Fraction(0))
-
-
-def shifted_zeta_representation(M: BaseManifold, k: int) -> ZetaRepresentation:
-    """Exact Hurwitz representation of zeta_{k,N} (spheres only)."""
-    if M.kind != "sphere":
-        raise ApproximateOnlyError(
-            f"{M.name} has no exact shifted-zeta continuation; "
-            "direct_sum_with_tail gives partial sums with a tail bound for Re(s) > n")
-    return ZetaRepresentation(sphere_multiplicity_polynomial(M, k), Fraction(M.n + 1, 2))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -115,13 +91,20 @@ def zeta_shifted_residue(M: BaseManifold, k: int, r: int, P: int = DEFAULT_DPS):
     if s0 > M.n:
         raise ValueError(f"s = {s0} is beyond the pole range of an n = {M.n} base")
     if M.kind == "sphere":
-        return shifted_zeta_representation(M, k).residue_at(s0)
+        return sphere_residue(sphere_multiplicity_polynomial(M, k), r)
     if M.kind == "torus":
         return _torus_residue(M, k, r, P)
     if s0 != M.n:
         raise ApproximateOnlyError(
             "file-backed spectra only support the leading residue at s = n (estimated)")
     return _estimated_leading_residue(M, k, P)
+
+
+def sphere_residue(mult: Polynomial, r: int) -> Fraction:
+    """Residue at s = 2r+1 of zeta_{k,N} = sum_p a_p zeta_H(s - p, (n+1)/2) on a sphere, from
+    the multiplicity polynomial mult = sum_p a_p x^p: the pole of zeta_H(s - p, .) at s = p + 1
+    has residue 1, so this is a_{2r}."""
+    return mult.coeffs.get((2 * r,), Fraction(0))
 
 
 def _torus_residue(M: BaseManifold, k: int, r: int, P: int):
@@ -190,14 +173,13 @@ def _hurwitz_at_negative_integer(p: int, m: int) -> Fraction:
     return -sum(math.comb(d, i) * _bernoulli(i) * m ** (d - i) for i in range(d + 1)) / d
 
 
-def zeta_ccl_at_zero(M: BaseManifold, k: int, P: int = DEFAULT_DPS,
-                     rep: ZetaRepresentation | None = None):
-    """(zeta(0), zeta'(0)) of the coclosed form Laplacian in degree k (spheres), exactly.
+def zeta_ccl_at_zero(M: BaseManifold, k: int, mult: Polynomial):
+    """(zeta(0), zeta'(0)) of the coclosed form Laplacian in degree k of a sphere, exactly,
+    from the degree's multiplicity polynomial mult = sphere_multiplicity_polynomial(M, k).
 
     zeta(0) is a Fraction and zeta'(0) a log form: a dict from the atoms
     ("zeta'", q), standing for zeta'(-q), and ("log", j), for log j, to
-    Fraction coefficients; `log_form_value` rounds it.  Neither depends on
-    P.  `rep` is shifted_zeta_representation(M, k) when the caller has it.
+    Fraction coefficients; `log_form_value` rounds it.
 
     The coclosed eigenvalues factor as eta = (nu - A)(nu + A), A = A_k, and
     zeta'(0) is the sum of the derivatives of the two linear spectra,
@@ -227,15 +209,14 @@ def zeta_ccl_at_zero(M: BaseManifold, k: int, P: int = DEFAULT_DPS,
     sum_i C(-s, i) (-A^2)^i zeta_N(2s + 2i).  At s = 0 itself every i >= 1
     term vanishes, so zeta(0, ccl_k) = zeta_N(0).
     """
-    if rep is None:
-        rep = shifted_zeta_representation(M, k)
-    z0 = sum((c * _hurwitz_at_negative_integer(p, int(rep.shift))
-              for (p,), c in rep.weights.coeffs.items()), Fraction(0))
+    x0 = (M.n + 1) // 2
+    z0 = sum((c * _hurwitz_at_negative_integer(p, x0) for (p,), c in mult.coeffs.items()),
+             Fraction(0))
     z0p = {}
     A = DegreeData(k, M.n).A
     for shift in (A, -A):
-        m = int(rep.shift - shift)
-        for (q,), c in _shift_polynomial_variable(rep.weights, shift).coeffs.items():
+        m = int(x0 - shift)
+        for (q,), c in _shift_polynomial_variable(mult, shift).coeffs.items():
             z0p["zeta'", q] = z0p.get(("zeta'", q), 0) + c
             for j in range(2, m):
                 z0p["log", j] = z0p.get(("log", j), 0) + c * j ** q
@@ -262,17 +243,13 @@ def log_form_value(form: dict, P: int = DEFAULT_DPS):
     return acc
 
 
-def base_torsion(M: BaseManifold, P: int = DEFAULT_DPS, zeta_primes=None):
+def base_torsion(M: BaseManifold, zeta_primes, P: int = DEFAULT_DPS):
     """log of the scalar analytic torsion of the closed base (N, g^N).
 
     Assembled from coclosed data: - sum_{k <= (n-1)/2} (-1)^k delta_k zeta'(0, ccl_k),
-    summed exactly as a log form and rounded once.  `zeta_primes` holds
-    those zeta'(0, ccl_k) forms, k = 0..(n-1)/2, when the caller has them already.
+    with zeta_primes[k] the log form of zeta'(0, ccl_k) from zeta_ccl_at_zero,
+    summed exactly and rounded once.
     """
-    if M.kind != "sphere":
-        raise ApproximateOnlyError(f"base torsion requires an exact continuation; {M.name} has none")
-    if zeta_primes is None:
-        zeta_primes = [zeta_ccl_at_zero(M, k, P)[1] for k in range((M.n - 1) // 2 + 1)]
     total = {}
     for k, form in enumerate(zeta_primes):
         weight = (-1) ** k * M.degree(k).delta

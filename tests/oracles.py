@@ -7,7 +7,9 @@ evaluates the Hurwitz combination of the sphere zeta functions with mpmath's
 Hurwitz zeta at any s, zeta_ccl_at_zero_hurwitz and
 residual_inner_sum_digamma are the routes the integer-shift reduction and
 the half-integer digamma closed form replaced (mpmath's Hurwitz zeta, zeta'
-and digamma at working precision), and sphere_multiplicity
+and digamma at working precision), ccl, residues and zeta_primes build one
+sphere degree's inputs of zeta_ccl_at_zero, residual_inner_sum and
+base_torsion from the public functions, and sphere_multiplicity
 gives the sphere multiplicities pointwise from the Weyl dimension formula as
 the reference of the multiplicity polynomials.  naive_product multiplies
 polynomials one Fraction product per pair of terms, the reference of
@@ -36,11 +38,16 @@ from conetorsion.precision import (
     to_complex,
     to_real,
 )
-from conetorsion.spectrum import BaseManifold, DegreeData, UnsupportedManifoldError
+from conetorsion.spectrum import (
+    BaseManifold,
+    DegreeData,
+    UnsupportedManifoldError,
+    sphere_multiplicity_polynomial,
+)
 from conetorsion.zeta import (
-    ZetaRepresentation,
+    ApproximateOnlyError,
     _shift_polynomial_variable,
-    shifted_zeta_representation,
+    zeta_ccl_at_zero,
     zeta_shifted_residue,
 )
 
@@ -116,22 +123,22 @@ class PoleError(ArithmeticError):
         self.residue = residue
 
 
-def hurwitz_value(rep: ZetaRepresentation, s, P: int = DEFAULT_DPS):
-    """sum_p a_p zeta_H(s - p, x0) with mpmath's Hurwitz zeta."""
+def hurwitz_value(mult: Polynomial, x0, s, P: int = DEFAULT_DPS):
+    """sum_p a_p zeta_H(s - p, x0) with mpmath's Hurwitz zeta, mult = sum_p a_p x^p."""
     ctx = context(P)
     if isinstance(s, (int, Fraction)):
         s_f = Fraction(s)
-        if (s_f - 1,) in rep.weights.coeffs:
-            raise PoleError(s_f, rep.residue_at(s_f))
+        if (s_f - 1,) in mult.coeffs:
+            raise PoleError(s_f, mult.coeffs[s_f - 1,])
         s_m = to_real(s_f, P, ctx)
     else:
         s_m = ctx.mpc(s)
     acc = ctx.mpc(0)
-    a = to_real(rep.shift, P, ctx)
-    for (p,), c in sorted(rep.weights.coeffs.items()):
+    a = to_real(x0, P, ctx)
+    for (p,), c in sorted(mult.coeffs.items()):
         arg = s_m - p
         if arg == 1:
-            raise PoleError(Fraction(p + 1), rep.residue_at(Fraction(p + 1)))
+            raise PoleError(Fraction(p + 1), c)
         acc += to_real(c, P, ctx) * ctx.zeta(arg, a)
     return acc.real if acc.imag == 0 else acc
 
@@ -142,22 +149,41 @@ def zeta_shifted(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS):
     Other bases raise ApproximateOnlyError; direct_sum_with_tail is their
     partial sum with its tail bound.
     """
-    return hurwitz_value(shifted_zeta_representation(M, k), s, P)
+    if M.kind != "sphere":
+        raise ApproximateOnlyError(
+            f"{M.name} has no exact shifted-zeta continuation; "
+            "direct_sum_with_tail gives partial sums with a tail bound for Re(s) > n")
+    return hurwitz_value(sphere_multiplicity_polynomial(M, k), Fraction(M.n + 1, 2), s, P)
 
 
 def zeta_ccl_at_zero_hurwitz(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
     """(zeta(0), zeta'(0)) of the coclosed Laplacian in degree k (spheres) at
     precision P, from mpmath's Hurwitz zeta and zeta' at the shifts 1 + k and n - k."""
-    rep = shifted_zeta_representation(M, k)
-    z0 = hurwitz_value(rep, 0, P)
+    mult, x0 = sphere_multiplicity_polynomial(M, k), Fraction(M.n + 1, 2)
+    z0 = hurwitz_value(mult, x0, 0, P)
     ctx = context(P)
     z0p = ctx.mpf(0)
     A = DegreeData(k, M.n).A
     for shift in (A, -A):
-        a = to_real(rep.shift - shift, P, ctx)
-        for (q,), c in sorted(_shift_polynomial_variable(rep.weights, shift).coeffs.items()):
+        a = to_real(x0 - shift, P, ctx)
+        for (q,), c in sorted(_shift_polynomial_variable(mult, shift).coeffs.items()):
             z0p += to_real(c, P, ctx) * ctx.zeta(-q, a, 1)
     return z0, z0p
+
+
+def ccl(M: BaseManifold, k: int):
+    """zeta_ccl_at_zero of sphere degree k, from its multiplicity polynomial."""
+    return zeta_ccl_at_zero(M, k, sphere_multiplicity_polynomial(M, k))
+
+
+def residues(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
+    """The residues of zeta_{k,N} at s = 3, 5, ..., n that residual_inner_sum takes."""
+    return [zeta_shifted_residue(M, k, r, P) for r in range(1, (M.n - 1) // 2 + 1)]
+
+
+def zeta_primes(M: BaseManifold):
+    """The zeta'(0, ccl_k) log forms, k = 0..(n-1)/2, that base_torsion takes."""
+    return [ccl(M, k)[1] for k in range((M.n - 1) // 2 + 1)]
 
 
 def residual_inner_sum_digamma(M: BaseManifold, k: int, P: int = DEFAULT_DPS):

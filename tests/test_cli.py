@@ -315,6 +315,18 @@ def test_verify_dm_rejects_rmax_below_one(capsys, rmax):
         verify.check_dm_identity(int(rmax))
 
 
+@pytest.mark.parametrize("rmax", [str(verify.MAX_RMAX + 1), "99999999999999999999"])
+def test_verify_refuses_rmax_past_the_budget_at_once(capsys, monkeypatch, rmax):
+    # refused before any suite runs: the dm identity past MAX_RMAX would take minutes
+    monkeypatch.setitem(verify.SUITES, "dm", lambda **kwargs: pytest.fail("the dm suite ran"))
+    code, out, err = run(capsys, "verify", "--suite", "dm", "--rmax", rmax)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: --rmax {rmax} is beyond the {verify.MAX_RMAX}")
+    with pytest.raises(ValueError):
+        verify.check_dm_identity(int(rmax))
+
+
 # the message each case must carry, where the test pins one
 SPECTRUM_FILE_MESSAGES = {
     "dim=3 rank=1\nbetti=1,0,0,1\n0,1e400,4\n": "eta 1e400 is too large for a float",

@@ -51,13 +51,17 @@ SOURCE = st.one_of(BASE.map(lambda b: ["--base", b]), SPECTRUM_FILE.map(lambda t
 TORSION = st.tuples(st.just(["torsion"]), SOURCE, _option("--precision", PRECISION),
                     _option("--eps", EPS), _option("--format", st.sampled_from(["json", "table"])))
 SPECTRUM = st.tuples(st.just(["spectrum"]), SOURCE, CUTOFF.map(lambda c: ["--cutoff", c]))
+# only the dm suite reads --rmax; the well-formed values stay small so that a run is quick
+RMAX = _pick(["1", "9", "18"], ["0", "-4", "51", "99999999999999999999", "1e3", "abc", ""])
+VERIFY = st.tuples(st.just(["verify"]), st.sampled_from([["--suite", "dm"], ["--suite", "scaling"]]),
+                   _option("--rmax", RMAX))
 
 
 def test_generated_argv_never_ends_in_a_traceback(tmp_path):
     spec = tmp_path / "fuzz.spec"
 
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-    @given(st.one_of(TORSION, SPECTRUM))
+    @given(st.one_of(TORSION, SPECTRUM, VERIFY))
     def inner(parts):
         argv = []
         for part in parts:

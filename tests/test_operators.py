@@ -142,7 +142,7 @@ def test_eigenvalues_oracle_harmonic_dirichlet():
 def test_eigenvalues_oracle_full_cone_bessel_zeros():
     import scipy.special as sp
     op = ModelOperator("psi0", 2.0, F(0), None)  # Dirichlet branch: zeros of J_2
-    lam = eigenvalues_oracle(op, 10, verify_winding=False)
+    lam = eigenvalues_oracle(op, 10)
     zeros = sp.jn_zeros(2, 10)
     assert np.allclose(np.sqrt(lam), zeros, rtol=1e-10)
 
@@ -151,14 +151,14 @@ def test_det_ratio_oracle_full_cone_example():
     P = 40
     op = ModelOperator("psi2", 1.0, F(0), None)
     closed = det_ratio_full_cone("psi2", 1, 0, 2, P)
-    oracle = det_ratio_oracle(op, 2.0, count=240)
+    oracle = det_ratio_oracle(op, 2.0, eigenvalues_oracle(op, 240))
     assert abs(float(closed) - oracle) / abs(float(closed)) < 1e-6
 
 
 def test_det_ratio_oracle_truncated_example():
     op = ModelOperator("psi2", 1.5, F(1, 2), F(1, 3))
     closed = det_ratio_truncated("psi2", F(3, 2), F(1, 2), 1, F(1, 3), 40)
-    oracle = det_ratio_oracle(op, 1.0, count=240)
+    oracle = det_ratio_oracle(op, 1.0, eigenvalues_oracle(op, 240))
     assert abs(float(closed) - oracle) / abs(float(closed)) < 1e-6
 
 
@@ -191,13 +191,13 @@ def test_zeta_det_oracle_free_dirichlet_normalization():
     op = ModelOperator("psi2", 0.5, F(0), F(1, 3))
     L = 2.0 / 3.0
     eigs = [(math.pi * i / L) ** 2 for i in range(1, 301)]
-    det = zeta_det_oracle(op, eigenvalues=eigs)
+    det = zeta_det_oracle(op, eigs)
     assert abs(det - 2 * L) < 1e-10
 
 
 def test_zeta_det_oracle_matches_harmonic_closed_form():
     op = harmonic_operator(0, 3, F(1, 2))
-    oracle = zeta_det_oracle(op, count=320)
+    oracle = zeta_det_oracle(op, eigenvalues_oracle(op, 320))
     closed = float(h_det(0, 3, F(1, 2), 30))
     assert abs(oracle - closed) / closed < 1e-8
 
@@ -240,7 +240,7 @@ WINDING_OPERATORS.append(harmonic_operator(0, 3, F(1, 2)))
 @pytest.mark.parametrize("op", WINDING_OPERATORS, ids=lambda op: op.variant)
 def test_winding_count_certifies_bracketed_roots(op):
     count = 220
-    roots = np.sqrt(eigenvalues_oracle(op, count + 5, verify_winding=False))
+    roots = np.sqrt(eigenvalues_oracle(op, count + 5))
     spacing = math.pi / op.length
     lo = roots[0] * 0.5
     for hi in (roots[count - 1] + 0.45 * spacing, (roots[100] + roots[101]) / 2):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conetorsion import spectrum
+from conetorsion import spectrum, verify
 from conetorsion.spectrum import (
     BaseManifold,
     DegreeData,
@@ -30,19 +30,19 @@ F = Fraction
 
 def test_circle_functions():
     S1 = sphere(1)
-    lines = coclosed_spectrum(S1, 0, 10)
+    lines = coclosed_spectrum(S1, (0,), 10)
     assert [(ln.eta, ln.mult) for ln in lines] == [(F(j * j), 2) for j in range(1, 11)]
     assert nu_stream(S1, 0, 10) == [(F(j), 2) for j in range(1, 11)]
-    assert coclosed_spectrum(S1, 1, 10) == []
+    assert coclosed_spectrum(S1, (1,), 10) == []
 
 
 def test_sphere3_functions_and_coexact_one_forms():
     S3 = sphere(3)
-    lines = coclosed_spectrum(S3, 0, 6)
+    lines = coclosed_spectrum(S3, (0,), 6)
     assert lines[0].eta == 3  # lowest nonzero eigenvalue of the function Laplacian
     assert [(ln.eta, ln.mult) for ln in lines] == [
         (F(j * (j + 2)), (j + 1) ** 2) for j in range(1, 6)]
-    ones = coclosed_spectrum(S3, 1, 6)
+    ones = coclosed_spectrum(S3, (1,), 6)
     assert [(ln.eta, ln.mult) for ln in ones] == [
         (F((j + 1) ** 2), 2 * j * (j + 2)) for j in range(1, 6)]
 
@@ -50,7 +50,7 @@ def test_sphere3_functions_and_coexact_one_forms():
 def test_sphere5_killing_fields():
     # lowest coexact one-form eigenvalue 2(n-1) = 8 with multiplicity dim so(6) = 15
     S5 = sphere(5)
-    ln = coclosed_spectrum(S5, 1, 4)[0]
+    ln = coclosed_spectrum(S5, (1,), 4)[0]
     assert ln.eta == 8 and ln.mult == 15
 
 
@@ -75,8 +75,8 @@ def test_multiplicity_polynomial_matches_pointwise():
 @pytest.mark.parametrize("M", [sphere(1), sphere(3), sphere(5), torus(3), torus(5)])
 def test_duality_multisets(M):
     for k in range(M.n):
-        a = sorted((ln.eta, ln.mult) for ln in coclosed_spectrum(M, k, 20))
-        b = sorted((ln.eta, ln.mult) for ln in coclosed_spectrum(M, M.n - 1 - k, 20))
+        a = sorted((ln.eta, ln.mult) for ln in coclosed_spectrum(M, (k,), 20))
+        b = sorted((ln.eta, ln.mult) for ln in coclosed_spectrum(M, (M.n - 1 - k,), 20))
         assert a == b
 
 
@@ -90,7 +90,7 @@ def test_zero_exclusion_and_positive_mults():
 @pytest.mark.parametrize("M", [sphere(3), torus(3)])
 def test_weyl_growth(M):
     def count(cut):
-        return sum(ln.mult for ln in coclosed_spectrum(M, 0, cut))
+        return sum(ln.mult for ln in coclosed_spectrum(M, (0,), cut))
     c20 = count(20) / 20 ** M.n
     c50 = count(50) / 50 ** M.n
     assert 0.5 < c20 / c50 < 2.0
@@ -119,16 +119,16 @@ def test_betti_numbers():
 def test_rank_scaling():
     S3 = sphere(3, rank=2)
     assert betti(S3, 0) == 2
-    assert coclosed_spectrum(S3, 0, 4)[0].mult == 8
+    assert coclosed_spectrum(S3, (0,), 4)[0].mult == 8
 
 
 def test_torus_counts():
     T3 = torus(3)
-    lines = {ln.eta: ln.mult for ln in coclosed_spectrum(T3, 0, 3)}
+    lines = {ln.eta: ln.mult for ln in coclosed_spectrum(T3, (0,), 3)}
     # r_3(1), r_3(2), r_3(3) = 6, 12, 8 lattice points
     assert lines[F(1)] == 6 and lines[F(2)] == 12 and lines[F(3)] == 8
     # coclosed k-forms carry binom(n-1,k) copies per lattice point
-    ones = {ln.eta: ln.mult for ln in coclosed_spectrum(T3, 1, 3)}
+    ones = {ln.eta: ln.mult for ln in coclosed_spectrum(T3, (1,), 3)}
     assert ones[F(1)] == 12
 
 
@@ -158,13 +158,26 @@ def test_torus_spectrum_counts_the_lattice_once(monkeypatch):
     # each degree reads its own slice of the one count
     T = torus(5, 2, F(1, 3))
     body = [f"{ln.k},{spectrum._format_rational(ln.eta)},{ln.mult}"
-            for k in range(T.n + 1) for ln in coclosed_spectrum(T, k, 9)]
+            for k in range(T.n + 1) for ln in coclosed_spectrum(T, (k,), 9)]
     assert spectrum_text(T, 9).splitlines()[2:] == body
+
+
+def test_duality_suite_counts_each_torus_lattice_once(monkeypatch):
+    calls = []
+    count = spectrum._sum_of_squares_counts
+
+    def counting(n, qmax):
+        calls.append(n)
+        return count(n, qmax)
+
+    monkeypatch.setattr(spectrum, "_sum_of_squares_counts", counting)
+    assert verify.check_spectrum_duality()["passed"]
+    assert calls == [3]             # the suite's one torus, T^3, counted once for all degrees
 
 
 def test_torus_scale():
     T = torus(3, scale=F(4))
-    assert coclosed_spectrum(T, 0, 3)[0].eta == F(4)
+    assert coclosed_spectrum(T, (0,), 3)[0].eta == F(4)
 
 
 def test_file_round_trip(tmp_path):
@@ -176,8 +189,8 @@ def test_file_round_trip(tmp_path):
         assert tuple(betti(back, k) for k in range(M.n + 1)) == tuple(
             betti(M, k) for k in range(M.n + 1))
         for k in range(M.n + 1):
-            orig = sorted((ln.eta, ln.mult) for ln in coclosed_spectrum(M, k, 12))
-            got = sorted((ln.eta, ln.mult) for ln in coclosed_spectrum(back, k, 12))
+            orig = sorted((ln.eta, ln.mult) for ln in coclosed_spectrum(M, (k,), 12))
+            got = sorted((ln.eta, ln.mult) for ln in coclosed_spectrum(back, (k,), 12))
             assert orig == got
         # byte-exact second generation
         text1 = (tmp_path / "spec.txt").read_text()

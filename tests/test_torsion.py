@@ -7,20 +7,20 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from conetorsion import precision, torsion, zeta
+from conetorsion import precision, spectrum, torsion, zeta
 from conetorsion.cli import parse_base
 from conetorsion.precision import context
 from conetorsion.spectrum import betti, sphere, torus, spectrum_text, read_spectrum_file
 from conetorsion.torsion import (
     cone_torsion,
-    log_eps_coefficient,
-    spectral_pass,
     top_term,
+    torsion_breakdown,
     torsion_difference,
     torsion_report,
     truncated_cone_torsion,
 )
 from conetorsion.zeta import ApproximateOnlyError, log_form_value
+from oracles import ccl, residues, zeta_primes
 
 F = Fraction
 S1, S3 = sphere(1), sphere(3)
@@ -41,7 +41,7 @@ def test_difference_eps_independent(M):
     r1 = torsion_difference(M, F(1, 2), P)
     r2 = torsion_difference(M, F(1, 4), P)
     assert r1 == r2
-    assert log_eps_coefficient(M, spectral_pass(M, P)) == 0
+    assert torsion_breakdown(M, P).log_eps == 0
 
 
 @pytest.mark.parametrize("spec", ["sphere:1", "sphere:3", "sphere:5:2"])
@@ -58,8 +58,8 @@ def test_difference_matches_degree_by_degree_assembly(spec):
         log_eps = ctx.log(ctx.mpf(eps.numerator) / eps.denominator)
         want = ctx.mpf(weight) / 2 * log_eps - top_term(M, P)
         for k in range((M.n - 1) // 2 + 1):
-            z0, z0p = zeta.zeta_ccl_at_zero(M, k, P)
-            inner = torsion.residual_inner_sum(M, k, P)
+            z0, z0p = ccl(M, k)
+            inner = torsion.residual_inner_sum(M, k, residues(M, k, P))
             delta = M.degree(k).delta
             w = ctx.mpf((-1) ** k) / 2 * ctx.mpf(delta.numerator) / delta.denominator
             want += w * (-log_form_value(z0p, P) - 2 * log_eps * z0 + inner / 2)
@@ -70,7 +70,7 @@ def test_difference_circle_value():
     P = 40
     ctx = context(P)
     diff = torsion_difference(S1, F(1, 3), P)
-    want = zeta.base_torsion(S1, P) / 2 - ctx.log(2) / 2
+    want = zeta.base_torsion(S1, zeta_primes(S1), P) / 2 - ctx.log(2) / 2
     assert abs(diff - want) < ctx.mpf(10) ** -40
 
 
@@ -79,10 +79,10 @@ def test_difference_base_torsion_share():
     # equals half the base torsion by construction of base_torsion; the forms
     # are summed exactly, and halving every coefficient halves the rounded value
     P = 40
-    share = zeta.base_torsion(S3, P) / 2
+    share = zeta.base_torsion(S3, zeta_primes(S3), P) / 2
     form = {}
     for k in range(2):
-        _z0, z0p = zeta.zeta_ccl_at_zero(S3, k, P)
+        _z0, z0p = ccl(S3, k)
         for atom, c in z0p.items():
             form[atom] = form.get(atom, 0) - Fraction((-1) ** k, 2) * S3.degree(k).delta * c
     assert abs(log_form_value(form, P) - share) == 0
@@ -155,9 +155,13 @@ def test_report_structure_and_determinism():
     assert r1["approximate"] is False
 
 
-def test_report_computes_each_degree_once(monkeypatch):
-    # one spectral pass: each of the four degrees of S^7 is evaluated once,
-    # from one multiplicity polynomial per degree
+@pytest.mark.parametrize("entry", [
+    lambda M: torsion_report(M, 50), lambda M: cone_torsion(M, 50),
+    lambda M: truncated_cone_torsion(M, 50), lambda M: torsion_difference(M, F(1, 2), 50),
+], ids=["torsion_report", "cone_torsion", "truncated_cone_torsion", "torsion_difference"])
+def test_report_computes_each_degree_once(monkeypatch, entry):
+    # one breakdown: each of the four degrees of S^7 is evaluated once, from one
+    # multiplicity polynomial per degree, whichever entry point reads it
     calls = {"zeta_ccl_at_zero": 0, "residual_inner_sum": 0, "sphere_multiplicity_polynomial": 0}
 
     def counting(name, fn):
@@ -170,9 +174,14 @@ def test_report_computes_each_degree_once(monkeypatch):
                         counting("zeta_ccl_at_zero", zeta.zeta_ccl_at_zero))
     monkeypatch.setattr(torsion, "residual_inner_sum",
                         counting("residual_inner_sum", torsion.residual_inner_sum))
-    monkeypatch.setattr(zeta, "sphere_multiplicity_polynomial",
-                        counting("sphere_multiplicity_polynomial", zeta.sphere_multiplicity_polynomial))
-    torsion_report(sphere(7), 50)
+    # counted under every module name that binds it
+    build = spectrum.sphere_multiplicity_polynomial
+    counted = counting("sphere_multiplicity_polynomial", build)
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "sphere_multiplicity_polynomial", None)
+        if name.startswith("conetorsion") and bound is build:
+            monkeypatch.setattr(module, "sphere_multiplicity_polynomial", counted)
+    entry(sphere(7))
     assert calls == {"zeta_ccl_at_zero": 4, "residual_inner_sum": 4, "sphere_multiplicity_polynomial": 4}
 
 
@@ -211,7 +220,8 @@ def test_residual_inner_sums_are_exact():
     for n, row in INNER_SUMS.items():
         for rank in (1, 2):
             M = sphere(n, rank)
-            got = tuple(torsion.residual_inner_sum(M, k) for k in range((n - 1) // 2 + 1))
+            got = tuple(torsion.residual_inner_sum(M, k, residues(M, k))
+                        for k in range((n - 1) // 2 + 1))
             assert got == tuple(rank * v for v in row), (n, rank)
 
 
@@ -252,7 +262,8 @@ def test_base_torsion_classical_sphere_values():
     from conetorsion.torsion import volume
     for n in (1, 3, 5, 7):
         for rank in (1, 2):
-            got = zeta.base_torsion(sphere(n, rank), P)
+            M = sphere(n, rank)
+            got = zeta.base_torsion(M, zeta_primes(M), P)
             assert abs(got - rank * ctx.log(volume(sphere(n), P))) < ctx.mpf(10) ** -40, (n, rank)
 
 

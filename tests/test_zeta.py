@@ -11,24 +11,26 @@ import pytest
 
 from conetorsion.precision import context, to_real
 from conetorsion.spectrum import (
-    DegreeData, betti, sphere, torus, spectrum_text, read_spectrum_file)
-from conetorsion.torsion import residual_inner_sum, volume
+    DegreeData, UnsupportedManifoldError, betti, sphere, sphere_multiplicity_polynomial, torus,
+    spectrum_text, read_spectrum_file)
+from conetorsion.torsion import residual_inner_sum, torsion_breakdown, volume
 from conetorsion.zeta import (
     ApproximateOnlyError,
     base_torsion,
     direct_sum_with_tail,
     _estimated_leading_residue,
     log_form_value,
-    shifted_zeta_representation,
-    zeta_ccl_at_zero,
     zeta_shifted_residue,
 )
 from oracles import (
     PoleError,
+    ccl,
     hurwitz_value,
     residual_inner_sum_digamma,
+    residues,
     weyl_fit_per_copy,
     zeta_ccl_at_zero_hurwitz,
+    zeta_primes,
     zeta_shifted,
 )
 
@@ -54,7 +56,7 @@ def test_direct_sum_agreement():
         assert abs(cont - partial) <= tail
 
 
-# residue_at(2r + 1) of zeta_{k,N} on the unit sphere S^n, r = 1..(n-1)/2, k = 0..n-1;
+# the residue at 2r + 1 of zeta_{k,N} on the unit sphere S^n, r = 1..(n-1)/2, k = 0..n-1;
 # the binomial re-expansion of zeta(s, ccl_k) around eta = w (w + 2A) gives the same
 SPHERE_RESIDUES = {
     3: [(1,), (2,), (1,)],
@@ -79,8 +81,7 @@ def test_sphere3_residues():
         assert len(rows) == n
         for k, row in enumerate(rows):
             assert len(row) == (n - 1) // 2
-            rep = shifted_zeta_representation(sphere(n), k)
-            assert tuple(rep.residue_at(2 * r + 1) for r in range(1, len(row) + 1)) == row, (n, k)
+            assert tuple(residues(sphere(n), k)) == row, (n, k)
         # Weyl's law for the residue at s = n:
         #   n rank C(n-1, k) vol(S^n) / ((4 pi)^(n/2) Gamma(n/2 + 1))
         half = ctx.mpf(n) / 2
@@ -88,7 +89,7 @@ def test_sphere3_residues():
             M = sphere(n, rank)
             weyl = n * rank * volume(M, P) / ((4 * ctx.pi) ** half * ctx.gamma(half + 1))
             for k in range(n):
-                got = to_real(shifted_zeta_representation(M, k).residue_at(n), P, ctx)
+                got = to_real(zeta_shifted_residue(M, k, (n - 1) // 2), P, ctx)
                 assert abs(got - math.comb(n - 1, k) * weyl) < ctx.mpf(10) ** (5 - P), (n, rank, k)
 
 
@@ -113,9 +114,8 @@ def test_pole_parity():
     for M, k in ((S3, 0), (S5, 1)):
         for s in (0, 2):
             zeta_shifted(M, k, s, 30)
-        rep = shifted_zeta_representation(M, k)
         # zeta_H(s - p, x0) has its pole at s = p + 1
-        assert all((p + 1) % 2 == 1 for (p,) in rep.weights.coeffs)
+        assert all((p + 1) % 2 == 1 for (p,) in sphere_multiplicity_polynomial(M, k).coeffs)
 
 
 def test_zeta_zero_betti():
@@ -126,12 +126,12 @@ def test_zeta_zero_betti():
             M = sphere(n, rank)
             for k in range(n):
                 expected = -sum((-1) ** (k - j) * betti(M, j) for j in range(k + 1))
-                assert zeta_ccl_at_zero(M, k, 40)[0] == expected, (n, rank, k)
+                assert ccl(M, k)[0] == expected, (n, rank, k)
 
 
 def test_circle_ccl_at_zero():
     ctx = context(40)
-    z0, z0p = zeta_ccl_at_zero(S1, 0, 40)
+    z0, z0p = ccl(S1, 0)
     assert z0 == -1
     assert z0p == {("zeta'", 0): 4}
     assert abs(log_form_value(z0p, 40) + 2 * ctx.log(2 * ctx.pi)) < ctx.mpf("1e-45")
@@ -155,18 +155,18 @@ def _series_ccl_prime(M, k, P):
     integers instead of zeta_H' at the shifts 1 + k and n - k.
     """
     ctx = context(P)
-    rep = shifted_zeta_representation(M, k)
-    x0 = ctx.mpf(rep.shift.numerator) / rep.shift.denominator
+    mult, shift = sphere_multiplicity_polynomial(M, k), Fraction(M.n + 1, 2)
+    x0 = ctx.mpf(shift.numerator) / shift.denominator
     acc = ctx.mpf(0)
-    for (p,), c in rep.weights.coeffs.items():
+    for (p,), c in mult.coeffs.items():
         acc += 2 * ctx.mpf(c.numerator) / c.denominator * ctx.zeta(-p, x0, 1)
     A = DegreeData(k, M.n).A
-    if A == 0 or not rep.weights.coeffs:
+    if A == 0 or not mult.coeffs:
         return acc
     A2 = ctx.mpf(A.numerator) ** 2 / A.denominator ** 2
     tol = ctx.mpf(10) ** (-(P + 5))
     for i in range(1, 2000):
-        term = A2 ** i / i * hurwitz_value(rep, 2 * i, P)
+        term = A2 ** i / i * hurwitz_value(mult, shift, 2 * i, P)
         acc += term
         if abs(term) < tol and i > 2:
             return acc
@@ -178,17 +178,15 @@ def test_ccl_closed_form_matches_series(n):
     M = sphere(n)
     P = 60
     for k in range(n + 1):
-        _z0, z0p = zeta_ccl_at_zero(M, k, P)
+        _z0, z0p = ccl(M, k)
         assert abs(log_form_value(z0p, P) - _series_ccl_prime(M, k, P)) < mp.mpf(10) ** -55, (n, k)
 
 
 def test_ccl_precision_doubling():
-    # the pair is exact, so P only fixes where the log form is rounded
+    # the pair is exact and takes no precision: P only fixes where the log form is rounded
     for M, k in ((S3, 1), (S3, 0)):
-        z0a, z0pa = zeta_ccl_at_zero(M, k, 40)
-        z0b, z0pb = zeta_ccl_at_zero(M, k, 80)
-        assert (z0a, z0pa) == (z0b, z0pb)
-        assert abs(log_form_value(z0pa, 40) - log_form_value(z0pb, 80)) < mp.mpf(10) ** -35
+        _z0, z0p = ccl(M, k)
+        assert abs(log_form_value(z0p, 40) - log_form_value(z0p, 80)) < mp.mpf(10) ** -35
 
 
 @pytest.mark.parametrize("P", [50, 100])
@@ -199,22 +197,26 @@ def test_exact_sphere_data_matches_the_hurwitz_reference(P):
         for rank in (1, 2):
             M = sphere(n, rank)
             for k in range(n):
-                z0, z0p = zeta_ccl_at_zero(M, k, P)
+                z0, z0p = ccl(M, k)
                 ref0, ref0p = zeta_ccl_at_zero_hurwitz(M, k, P)
                 pairs = [(z0, ref0), (log_form_value(z0p, P), ref0p),
-                         (residual_inner_sum(M, k, P), residual_inner_sum_digamma(M, k, P))]
+                         (residual_inner_sum(M, k, residues(M, k, P)),
+                          residual_inner_sum_digamma(M, k, P))]
                 for got, ref in pairs:
                     assert abs(ref - to_real(got, P)) <= mp.mpf(10) ** (5 - P) * max(1, abs(ref)), (n, rank, k)
 
 
 def test_base_torsion_circle():
     ctx = context(40)
-    assert abs(base_torsion(S1, 40) - ctx.log(2 * ctx.pi)) < ctx.mpf("1e-44")
+    assert abs(base_torsion(S1, zeta_primes(S1), 40) - ctx.log(2 * ctx.pi)) < ctx.mpf("1e-44")
 
 
 def test_base_torsion_guards():
-    with pytest.raises(ApproximateOnlyError):
-        base_torsion(torus(3), 40)
+    # a torus has no multiplicity polynomial, so no zeta'(0) forms to sum, and its
+    # breakdown carries no base torsion
+    with pytest.raises(UnsupportedManifoldError):
+        zeta_primes(torus(3))
+    assert torsion_breakdown(torus(3), 40).tors is None
 
 
 def test_torus_residues_exact():
