@@ -55,7 +55,7 @@ final class coefficient is rational times pi^(-(n+1)/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .olver import Polynomial
@@ -74,8 +74,7 @@ def fold_scale(x: Polynomial, scale) -> Polynomial:
     return Polynomial({(p, h // 2): c for (p, h), c in x.coeffs.items()}, 2).substitute(1, scale)
 
 
-@dataclass(frozen=True)
-class CollarMetric:
+class CollarMetric(namedtuple("CollarMetric", "n kappa fprime0 scale")):
     """Conformal collar f(x)(dx^2 + g) over a constant-curvature (N^n, g).
 
     kappa: sectional curvature of g (1 for round unit spheres, 0 for flat
@@ -83,33 +82,30 @@ class CollarMetric:
     scale: overall metric multiplier used by the scaling checks.
     """
 
-    n: int
-    kappa: Fraction
-    fprime0: Fraction
-    scale: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
+    def __new__(cls, n: int, kappa: Fraction, fprime0: Fraction, scale: Fraction = Fraction(1)):
+        if n < 1 or n % 2 == 0:
             raise DomainError("collar base dimension must be odd")
-        if self.scale <= 0:
+        if scale <= 0:
             raise DomainError("metric scale must be positive")
+        return tuple.__new__(cls, (n, kappa, fprime0, scale))
 
 
 def scaled(cm: CollarMetric, s) -> CollarMetric:
     """The collar of the metric multiplied by s > 0."""
-    return replace(cm, scale=cm.scale * Fraction(s))
+    # the constructor, not _replace, which would skip the scale check
+    return CollarMetric(cm.n, cm.kappa, cm.fprime0, cm.scale * Fraction(s))
 
 
-@dataclass(frozen=True)
-class AnomalyClass:
+class AnomalyClass(namedtuple("AnomalyClass", "n coefficient")):
     """The boundary class as (exact coefficient of the volume form, n).
 
     The coefficient is a Polynomial sum c_p pi^(p/2) in the pi half power,
     with the metric scale folded in.
     """
 
-    n: int
-    coefficient: Polynomial
+    __slots__ = ()
 
     def value(self, P: int = DEFAULT_DPS):
         return _pi_value(self.coefficient, P)

@@ -9,6 +9,7 @@ fixed configuration (sorted keys, fixed reduction orders, no timestamps).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -210,5 +211,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def process_main() -> int:
+    """`main` as the entry of its own process: `python -m conetorsion.cli` and the
+    `conetorsion` script.
+
+    The exit's last collection would walk every object the imports made before the
+    process ends anyway; `gc.freeze()` takes them out of its reach.  Callers of `main`
+    inside a longer-lived process keep their collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -48,10 +48,9 @@ an independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from importlib import import_module
-from typing import Optional
 
 from .precision import DEFAULT_DPS, DomainError, context, to_complex, to_real
 
@@ -85,8 +84,7 @@ class RootIsolationError(RuntimeError):
     """The eigenvalue search could not certify a complete root list."""
 
 
-@dataclass(frozen=True)
-class ModelOperator:
+class ModelOperator(namedtuple("ModelOperator", "variant nu A eps")):
     """Descriptor of one scalar model operator.
 
     variant: one of psi2/phi2/psi0/phi0/h0; nu: Bessel order (> 0 except
@@ -95,18 +93,16 @@ class ModelOperator:
     interval (0,1] with the admissible-branch condition at 0.
     """
 
-    variant: str
-    nu: float
-    A: Fraction
-    eps: Optional[Fraction] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.eps is not None and not 0 < self.eps < 1:
-            raise DomainError(f"eps must lie in (0,1), got {self.eps}")
-        if self.nu < 0:
+    def __new__(cls, variant: str, nu: float, A: Fraction, eps: Fraction | None = None):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if eps is not None and not 0 < eps < 1:
+            raise DomainError(f"eps must lie in (0,1), got {eps}")
+        if nu < 0:
             raise DomainError("order nu must be nonnegative")
+        return tuple.__new__(cls, (variant, nu, A, eps))
 
     @property
     def length(self) -> float:

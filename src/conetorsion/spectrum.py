@@ -31,7 +31,7 @@ with eta in decimal or p/q rational text.  Round trips are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Context
 from fractions import Fraction
 from pathlib import Path
@@ -47,27 +47,23 @@ class MalformedSpectrumFile(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(namedtuple("SpectralLine", "k eta mult")):
     """One eigenvalue of the coclosed form Laplacian: degree, eigenvalue, multiplicity."""
 
-    k: int
-    eta: Fraction
-    mult: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eta <= 0:
+    def __new__(cls, k: int, eta: Fraction, mult: int):
+        if eta <= 0:
             raise ValueError("coclosed spectral lines carry eta > 0 (zero modes are excluded)")
-        if self.mult <= 0:
+        if mult <= 0:
             raise ValueError("multiplicity must be a positive integer")
+        return tuple.__new__(cls, (k, eta, mult))
 
 
-@dataclass(frozen=True)
-class DegreeData:
+class DegreeData(namedtuple("DegreeData", "k n")):
     """Shift and weight data attached to a form degree on an n-dimensional base."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
     @property
     def A(self) -> Fraction:
@@ -78,8 +74,7 @@ class DegreeData:
         return Fraction(1, 2) if 2 * self.k == self.n - 1 else Fraction(1)
 
 
-@dataclass(frozen=True)
-class BaseManifold:
+class BaseManifold(namedtuple("BaseManifold", "kind n rank scale lines betti_raw label")):
     """Descriptor of a supported base: named family plus parameters.
 
     kind: 'sphere' | 'torus' | 'file'
@@ -88,23 +83,19 @@ class BaseManifold:
     c0 = (2*pi/L)^2; lines/betti: file-backed data.
     """
 
-    kind: str
-    n: int
-    rank: int = 1
-    scale: Fraction = Fraction(1)
-    lines: tuple = ()
-    betti_raw: tuple = ()
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise UnsupportedManifoldError(f"base dimension must be odd and >= 1, got {self.n}")
-        if self.rank < 1:
+    def __new__(cls, kind: str, n: int, rank: int = 1, scale: Fraction = Fraction(1),
+                lines: tuple = (), betti_raw: tuple = (), label: str = ""):
+        if n < 1 or n % 2 == 0:
+            raise UnsupportedManifoldError(f"base dimension must be odd and >= 1, got {n}")
+        if rank < 1:
             raise UnsupportedManifoldError("bundle rank must be a positive integer")
-        if self.kind not in ("sphere", "torus", "file"):
-            raise UnsupportedManifoldError(f"unknown base manifold kind {self.kind!r}")
-        if self.kind == "sphere" and self.n > 7:
+        if kind not in ("sphere", "torus", "file"):
+            raise UnsupportedManifoldError(f"unknown base manifold kind {kind!r}")
+        if kind == "sphere" and n > 7:
             raise UnsupportedManifoldError("round spheres are supported for odd n <= 7")
+        return tuple.__new__(cls, (kind, n, rank, scale, lines, betti_raw, label))
 
     @property
     def name(self) -> str:

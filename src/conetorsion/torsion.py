@@ -35,7 +35,7 @@ its log(eps) audit and the spread of the difference over the radii.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import olver, zeta
@@ -45,8 +45,8 @@ from .spectrum import BaseManifold, betti, sphere_multiplicity_polynomial
 from .zeta import ApproximateOnlyError
 
 
-@dataclass(frozen=True)
-class TorsionBreakdown:
+class TorsionBreakdown(namedtuple("TorsionBreakdown", "ctx top tors res_spectral res_anomaly "
+                                                      "total headline_gap log_eps")):
     """The three named summands of the cone torsion plus bookkeeping; ctx is the
     working-precision context that the numbers were rounded in.
 
@@ -58,14 +58,7 @@ class TorsionBreakdown:
     and only spheres do, so exactly the other bases give approximate reports.
     """
 
-    ctx: object
-    top: object
-    tors: object
-    res_spectral: object
-    res_anomaly: object
-    total: object
-    headline_gap: object
-    log_eps: object
+    __slots__ = ()
 
     @property
     def approximate(self) -> bool:

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, JSON determinism, file handling."""
 
+import gc
 import json
 import math
 import os
@@ -23,14 +24,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a new interpreter imports this checkout's package
+FRESH_ENV = {**os.environ, "PYTHONPATH": str(Path(conetorsion.__file__).resolve().parents[1])}
+
+
 def run_fresh(code, *argv):
-    """Run code in a new interpreter that imports this checkout's package;
-    return its last stdout line as JSON."""
-    src = str(Path(conetorsion.__file__).resolve().parents[1])
+    """Run code in a new interpreter; return its last stdout line as JSON."""
     res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                         text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+                         text=True, timeout=300, env=FRESH_ENV)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout.splitlines()[-1])
+
+
+def run_module(cwd, *argv):
+    """Run `python -m conetorsion.cli` in a new process; return its exit code and output bytes."""
+    res = subprocess.run([sys.executable, "-m", "conetorsion.cli", *argv], capture_output=True,
+                         timeout=300, cwd=cwd, env=FRESH_ENV)
+    return res.returncode, res.stdout, res.stderr
 
 
 # every command here must leave numpy and scipy unloaded
@@ -80,6 +90,31 @@ def test_an_oracle_loads_numpy_and_scipy_on_first_use():
                for i, lam in enumerate(out["lam"], 1))
     op = ModelOperator("psi2", 0.5, Fraction(1, 2), Fraction(1, 2))
     assert out["lam"] == eigenvalues_oracle(op, 6)
+
+
+def test_the_package_import_loads_neither_dataclasses_nor_inspect():
+    out = run_fresh("import json, sys\nimport conetorsion.cli\n"
+                    "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
+    assert out == []
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["torsion", "--base", "sphere:3"], 0),
+    (["torsion", "--base", "sphere:3", "--precision", "10"], 1),
+])
+def test_the_process_entry_prints_what_main_prints(capsys, tmp_path, argv, expected):
+    frozen = gc.get_freeze_count()
+    code, out, err = run(capsys, *argv)
+    # only the process entry freezes the heap before its exit
+    assert code == expected and gc.get_freeze_count() == frozen
+    assert run_module(tmp_path, *argv) == (code, out.encode(), err.encode())
+
+
+def test_the_process_entry_writes_the_file_main_writes(capsys, tmp_path):
+    argv = ["spectrum", "--base", "torus:3", "--cutoff", "20", "--out"]
+    assert run(capsys, *argv, str(tmp_path / "main.spec")) == (0, "", "")
+    assert run_module(tmp_path, *argv, "module.spec") == (0, b"", b"")
+    assert (tmp_path / "module.spec").read_bytes() == (tmp_path / "main.spec").read_bytes()
 
 
 def test_parse_base():
