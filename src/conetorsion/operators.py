@@ -30,19 +30,32 @@ eigenvalue oracle validates both routes and the absolute harmonic-sector
 determinant 2 eps^(k - n/2): a dense sign scan, one vectorised Brent pass
 (scipy's brentq, step for step, on every bracket at once), and an
 argument-principle count on a contour symmetric under conjugation, so F is
-evaluated on its lower half only.
+evaluated on its lower half only.  The scan and the Brent pass take F in the
+J, Y basis, the contour in the Hankel basis: at complex mu scipy's yv costs
+about as much as hankel1 and hankel2 together (7,680 points at Im mu = -1,
+nu = 0, 3/2 and 7/2, best of 7, scipy 1.17.1 on a 2-core VM: jv 1.7-2.1 ms,
+yv 3.3-12 ms, hankel1 2.5-8.1 ms, hankel2 0.9-5.4 ms).  On the real axis
+hankel1 is faster still, but it moves the last bits of the roots.
 
 Derivatives come from the one-sided recurrences, two Bessel evaluations per
-function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y in the oracle,
-and I' = I_{nu-1} - (nu/w) I_nu, K' = -K_{nu-1} - (nu/w) K_nu in _bessel_pack.
-Neither cancels for real w: the K terms share a sign and I_{nu-1} > (nu/w) I_nu.
-I_{nu-1} and I_nu are mpmath's besseli.  K_{nu-1} and K_nu come as one pair
+function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y, H1, H2 in the
+oracle, and I' = I_{nu-1} - (nu/w) I_nu, K' = -K_{nu-1} - (nu/w) K_nu in
+_bessel_pack.  Neither cancels for real w: the K terms share a sign and
+I_{nu-1} > (nu/w) I_nu.  I_{nu-1} and I_nu are mpmath's besseli.  K_{nu-1} and K_nu come as one pair
 from _besselk_pair: mpmath's besselk below |w| = 8, and from |w| = 8 on
 Temme's continued fraction CF2 and the upward recurrence, because mpmath's
 besselk at integer order takes 0.15-0.5 s a call there.  The precision module
 keeps mpmath's besselk and the two-sided forms (I_{nu-1} + I_{nu+1})/2 and
 -(K_{nu-1} + K_{nu+1})/2, so the wronskian suite and the tests' oracles check
 an independent route.
+
+_bessel_pack memoises each pack on (ctx.prec, nu, w): on the working
+precision, not the context, since every context(P) is a fresh clone.  The
+memo sits above _besselk_pair, so the K-pair tests reach the kernel on every
+call.  det_ratio_truncated and t_function pass a real w as an mpc with
+imaginary part 0; the pack takes its real part, so besseli and CF2 run in
+real arithmetic.  check_det_ratios("small") then computes 18 packs for 432
+lookups, and check_large_order_decay 6 for 24.
 """
 
 from __future__ import annotations
@@ -130,15 +143,29 @@ def end_conditions(variant: str, A, eps=None):
 # Closed-form determinant ratios
 
 
+_PACKS = {}   # (ctx.prec, nu, w) -> (I, I', K, K'), oldest first
+_PACKS_HELD = 256
+
+
 def _bessel_pack(ctx, nu, w):
     """I, I', K, K' at argument w (mpmath context values), w != 0.
 
-    I' = I_{nu-1} - (nu/w) I_nu and K' = -K_{nu-1} - (nu/w) K_nu.
+    I' = I_{nu-1} - (nu/w) I_nu and K' = -K_{nu-1} - (nu/w) K_nu.  An mpc w
+    with imaginary part 0 is taken as its real part, so the pack is real.
+    Packs are memoised on (ctx.prec, nu, w), the last _PACKS_HELD of them,
+    and returned as values of ctx.
     """
-    I = ctx.besseli(nu, w)
-    K_prev, K = _besselk_pair(ctx, nu, w)
-    r = nu / w
-    return I, ctx.besseli(nu - 1, w) - r * I, K, -K_prev - r * K
+    if w.imag == 0:
+        w = w.real
+    key = (ctx.prec, nu, w)
+    if key not in _PACKS:
+        if len(_PACKS) == _PACKS_HELD:
+            del _PACKS[next(iter(_PACKS))]
+        I = ctx.besseli(nu, w)
+        K_prev, K = _besselk_pair(ctx, nu, w)
+        r = nu / w
+        _PACKS[key] = I, ctx.besseli(nu - 1, w) - r * I, K, -K_prev - r * K
+    return tuple(map(ctx.convert, _PACKS[key]))
 
 
 _CF2_SWITCH = 8
@@ -345,8 +372,10 @@ def _eigen_condition(op: ModelOperator):
     Each end condition applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x)
     gives a pair (U_J, U_Y), and the condition is U_J(left) U_Y(right) -
     U_Y(left) U_J(right).  On the full interval the Dirichlet branch at 0
-    keeps J_nu alone, and the condition is U_J(right).  The end conditions
-    become float coefficients (x0, sqrt(x0), beta + 1/2) once.
+    keeps J_nu alone, and the condition is U_J(right).  At complex mu the two
+    ends take H1 = J + iY and H2 = J - iY, and the same determinant is
+    (U_H2(left) U_H1(right) - U_H1(left) U_H2(right)) / (2i).  The end
+    conditions become float coefficients (x0, sqrt(x0), beta + 1/2) once.
     """
     nu = float(op.nu)
 
@@ -369,6 +398,9 @@ def _eigen_condition(op: ModelOperator):
     def F(mu):
         if left is None:
             return apply(_sp.jv, mu, *right)
+        if np.iscomplexobj(mu):
+            return (apply(_sp.hankel2, mu, *left) * apply(_sp.hankel1, mu, *right)
+                    - apply(_sp.hankel1, mu, *left) * apply(_sp.hankel2, mu, *right)) / 2j
         return (apply(_sp.jv, mu, *left) * apply(_sp.yv, mu, *right)
                 - apply(_sp.yv, mu, *left) * apply(_sp.jv, mu, *right))
     return F

@@ -18,7 +18,9 @@ over one float per eigenvalue copy, the reference of the per-line fit of
 file spectra.  The Bessel values come from
 the precision module (mpmath's besseli and besselk, two-sided derivative
 recurrences), not from the operators module's Bessel pack, so the checks share
-no Bessel code with the routes they check.
+no Bessel code with the routes they check.  eigen_condition_jy is the
+eigencondition in the J, Y basis at every mu, the reference of the oracle's
+winding contour, which takes the Hankel basis at complex mu.
 """
 
 import math
@@ -27,6 +29,7 @@ from operator import add
 
 from conetorsion import olver
 from conetorsion.olver import Polynomial
+from conetorsion.operators import end_conditions
 from conetorsion.precision import (
     DEFAULT_DPS,
     DomainError,
@@ -112,6 +115,40 @@ def det_ratio_truncated_displayed(variant: str, nu, A, z, eps, P: int = DEFAULT_
     else:
         raise ValueError(f"no displayed form for {variant!r}")
     return val.real if val.imag == 0 else val
+
+
+def eigen_condition_jy(op):
+    """The eigencondition of op at real or complex mu, scalar or array, in the J, Y basis.
+
+    Each end condition applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x)
+    gives a pair (U_J, U_Y), and the condition is U_J(left) U_Y(right) -
+    U_Y(left) U_J(right); on the full interval it is U_J(right).
+    """
+    import scipy.special as sp
+    nu = float(op.nu)
+
+    def coefficients(side, kind, beta):
+        if side == "0":
+            return None
+        x0 = float(op.eps) if side == "eps" else 1.0
+        return x0, math.sqrt(x0), None if kind == "D" else float(Fraction(beta) + Fraction(1, 2))
+
+    left, right = (coefficients(*cond) for cond in end_conditions(op.variant, op.A, op.eps))
+
+    def apply(C, mu, x0, root, shift):
+        w = mu * x0
+        c = C(nu, w)
+        if shift is None:
+            return root * c
+        # w C'_nu(w) + shift C_nu(w) = w C_{nu-1}(w) + (shift - nu) C_nu(w)
+        return (w * C(nu - 1, w) + (shift - nu) * c) / root
+
+    def F(mu):
+        if left is None:
+            return apply(sp.jv, mu, *right)
+        return (apply(sp.jv, mu, *left) * apply(sp.yv, mu, *right)
+                - apply(sp.yv, mu, *left) * apply(sp.jv, mu, *right))
+    return F
 
 
 class PoleError(ArithmeticError):

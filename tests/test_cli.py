@@ -54,6 +54,9 @@ commands = [
     ["verify", "--suite", "scaling"],
     ["verify", "--suite", "duality"],
     ["verify", "--suite", "wronskian"],
+    ["verify", "--suite", "largenu"],
+    ["verify", "--suite", "propp"],
+    ["verify", "--suite", "propab"],
     ["spectrum", "--base", "sphere:3", "--cutoff", "20", "--out", spec],
     ["torsion", "--spectrum-file", spec],
 ]
@@ -67,7 +70,7 @@ print(json.dumps({"codes": codes,
 def test_commands_without_an_oracle_never_load_numpy_or_scipy(tmp_path):
     # a subprocess, because other tests load numpy into the pytest process
     out = run_fresh(NO_ORACLE_COMMANDS, str(tmp_path / "s3.spec"))
-    assert out["codes"] == [0] * 7
+    assert out["codes"] == [0] * 10
     assert out["loaded"] == []
 
 
@@ -255,6 +258,32 @@ def test_verify_suite_lines(capsys):
     assert rec["suite"] == "dm" and rec["passed"] is True
     code, out, _ = run(capsys, "verify", "--suite", "scaling")
     assert code == 0
+
+
+# the oracle suites' lines, byte for byte: the pack memo, the real field and
+# the Hankel contour change no printed digit
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--suite", "htrunc"],
+     '{"details": {"worst_at": [3, 0, "1/4"]}, "measure": "8.51961834413828e-10", '
+     '"passed": true, "suite": "htrunc", "tolerance": "1e-08"}'),
+    (["verify", "--suite", "detratio", "--grid", "tiny"],
+     '{"details": {"grid": "tiny", "worst_at": ["psi0", "3/2", "1/2", "1/3", "1"]}, '
+     '"measure": "1.566730998644678e-13", "passed": true, "suite": "detratio", '
+     '"tolerance": "1e-06"}'),
+    (["verify", "--suite", "largenu"],
+     '{"details": {}, "measure": "{1: (2.021, 2.01), 2: (3.042, 3.021), 3: (4.012, 4.005), '
+     '4: (5.144, 5.074)}", "passed": true, "suite": "largenu", '
+     '"tolerance": "order R+1 +- 0.2"}'),
+    (["verify", "--suite", "propp"],
+     '{"details": {"combinations": 9}, "measure": '
+     '"8.29249530956848030018761726082344297560147665602644479649106e-31", '
+     '"passed": true, "suite": "propp", "tolerance": "1.0e-20"}'),
+    (["verify", "--suite", "propab"],
+     '{"details": {"eps": "1/3", "nu": "5/2"}, "measure": "-0.5384289690435461", '
+     '"passed": true, "suite": "propab", "tolerance": "-0.5 +- 0.1"}'),
+], ids=["htrunc", "detratio-tiny", "largenu", "propp", "propab"])
+def test_oracle_suite_lines_are_pinned(capsys, argv, line):
+    assert run(capsys, *argv) == (0, line + "\n", "")
 
 
 def test_env_precision_default(monkeypatch, capsys):

@@ -2,13 +2,14 @@
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conetorsion import operators
+from conetorsion import operators, verify
 from conetorsion.operators import (
     ModelOperator,
     RootIsolationError,
@@ -22,8 +23,8 @@ from conetorsion.operators import (
     t_function,
     zeta_det_oracle,
 )
-from conetorsion.precision import DomainError, context, to_complex
-from oracles import det_ratio_full_cone, det_ratio_truncated_displayed
+from conetorsion.precision import DomainError, context, to_complex, to_real
+from oracles import det_ratio_full_cone, det_ratio_truncated_displayed, eigen_condition_jy
 
 F = Fraction
 
@@ -263,6 +264,22 @@ BRENT_OPERATORS = WINDING_OPERATORS + [op for op in HTRUNC_OPERATORS
                                        if op not in WINDING_OPERATORS]
 
 
+DETRATIO_TINY_OPERATORS = WINDING_OPERATORS[:4]
+
+
+@pytest.mark.parametrize("op", HTRUNC_OPERATORS + DETRATIO_TINY_OPERATORS,
+                         ids=lambda op: f"{op.variant}-{op.A}-{op.eps}")
+def test_winding_count_in_the_hankel_basis_is_the_jy_count(monkeypatch, op):
+    # the contour of eigenvalues_oracle at the htrunc and detratio counts
+    count = 320 if op.variant == "h0" else 220
+    roots = np.sqrt(eigenvalues_oracle(op, count))
+    lo, hi = roots[0] * 0.5, roots[-1] + 0.45 * math.pi / op.length
+    samples = max(400, count * 24)
+    hankel = operators._winding_count(op, lo, hi, samples)
+    monkeypatch.setattr(operators, "_eigen_condition", eigen_condition_jy)
+    assert hankel == operators._winding_count(op, lo, hi, samples) == count
+
+
 def _scan_brackets(op, count):
     """The sign-change brackets of the oracle's scan and F at their ends."""
     F_op = operators._eigen_condition(op)
@@ -328,7 +345,107 @@ def test_bessel_pack_recurrence_derivatives(nu):
         assert abs(K - K_mp) <= ctx.mpf(10) ** -P * abs(K_mp)
 
 
+@pytest.fixture
+def pack_counts(monkeypatch):
+    """An empty pack memo, and counts of pack lookups, K pairs and besseli calls."""
+    counts = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+        return call
+
+    def counting_context(P):
+        ctx = context(P)
+        ctx.besseli = counted("besseli", ctx.besseli)
+        return ctx
+
+    monkeypatch.setattr(operators, "_PACKS", {})
+    monkeypatch.setattr(operators, "_bessel_pack", counted("lookups", operators._bessel_pack))
+    monkeypatch.setattr(operators, "_besselk_pair", counted("kpairs", operators._besselk_pair))
+    monkeypatch.setattr(operators, "context", counting_context)
+    return counts
+
+
+def test_detratio_tiny_computes_each_pack_once(pack_counts):
+    assert verify.check_det_ratios("tiny")["passed"]
+    # four variants, one z, two ends: w = 3/2 at 1 and 1/2 at eps = 1/3
+    assert pack_counts == {"lookups": 8, "kpairs": 2, "besseli": 4}
+    assert len(operators._PACKS) == 2
+
+
+def test_detratio_small_closed_forms_compute_each_pack_once(pack_counts):
+    g = verify.DETRATIO_GRID["small"]
+    for variant in ("psi2", "phi2", "psi0", "phi0"):
+        for nu in g["nu"]:
+            for A in g["A"]:
+                for eps in g["eps"]:
+                    for z in g["z"]:
+                        det_ratio_truncated(variant, nu, A, z, eps, 40)
+    # a pack depends on (nu, w = nu z x0) alone: 3 nu, and z x0 for z = 1/2, 1 and
+    # x0 = 1, 1/2, 1/3, 1/4 takes 6 values, since 1/2 and 1/4 occur twice
+    assert pack_counts == {"lookups": 432, "kpairs": 18, "besseli": 36}
+
+
+def test_largenu_computes_each_pack_once(pack_counts):
+    assert verify.check_large_order_decay()["passed"]
+    # t at lam = -1 for R = 1..4 and nu = 20, 40, 80: packs at w = nu and nu / 2
+    assert pack_counts == {"lookups": 24, "kpairs": 6, "besseli": 12}
+
+
+def test_a_pack_is_memoised_per_precision_not_per_context(pack_counts):
+    for P in (40, 40, 50, 50):
+        ctx = context(P)
+        operators._bessel_pack(ctx, ctx.mpf(20), ctx.mpf(10))
+    assert pack_counts["kpairs"] == 2
+
+
+def test_the_pack_memo_drops_its_oldest_entry_when_full(pack_counts, monkeypatch):
+    monkeypatch.setattr(operators, "_PACKS_HELD", 2)
+    ctx = context(40)
+    for x in (3, 4, 5, 4, 3):
+        operators._bessel_pack(ctx, ctx.mpf(2), ctx.mpf(x))
+    # 3, 4, 5 fill the memo past its size and push 3 out; 4 is a hit, 3 is computed again
+    assert pack_counts["kpairs"] == 4
+    assert len(operators._PACKS) == 2
+
+
+PACK_ARGUMENTS = [(F(3, 2), F(1, 3)), (F(3, 2), 7), (20, 10), (20, (2, 3)), (80, (40, -25))]
+
+
+def test_a_memoised_pack_equals_a_fresh_one(pack_counts, monkeypatch):
+    P = 50
+    for nu, w in PACK_ARGUMENTS:
+        ctx = context(P)
+        operators._bessel_pack(ctx, to_real(nu, P, ctx), to_complex(w, P, ctx))
+    ctx = context(P)
+    memoised = [operators._bessel_pack(ctx, to_real(nu, P, ctx), to_complex(w, P, ctx))
+                for nu, w in PACK_ARGUMENTS]
+    assert pack_counts["kpairs"] == len(PACK_ARGUMENTS)
+    monkeypatch.setattr(operators, "_PACKS", {})
+    fresh = [operators._bessel_pack(ctx, to_real(nu, P, ctx), to_complex(w, P, ctx))
+             for nu, w in PACK_ARGUMENTS]
+    assert memoised == fresh
+    # a memoised pack comes back as values of the caller's context
+    assert all(type(v) in ctx.types for pack in memoised for v in pack)
+
+
 SWITCH = F(operators._CF2_SWITCH)
+
+
+@pytest.mark.parametrize("nu", [F(1, 2), F(3, 2), F(1), F(20)], ids=str)
+def test_a_real_argument_gives_a_real_pack(monkeypatch, nu):
+    P = 50
+    ctx = context(P)
+    nu_m = to_real(nu, P, ctx)
+    for x in (SWITCH / 2, SWITCH, 3 * SWITCH):     # mpmath's K pair, then CF2
+        monkeypatch.setattr(operators, "_PACKS", {})
+        as_complex = operators._bessel_pack(ctx, nu_m, ctx.mpc(to_real(x, P, ctx), 0))
+        monkeypatch.setattr(operators, "_PACKS", {})
+        as_real = operators._bessel_pack(ctx, nu_m, to_real(x, P, ctx))
+        assert all(type(v) is ctx.mpf for v in as_complex)
+        assert as_complex == as_real
 KPAIR_ARGUMENTS = [(F(1, 3), 0), (SWITCH - F(1, 1000), 0), (SWITCH, 0), (7, 0), (80, 0),
                    (2500, 0), (0, 5), (0, 40), (F(1, 100), 30), (40, -25), (3, -300)]
 
