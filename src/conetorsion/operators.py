@@ -63,30 +63,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from importlib import import_module
 
-from .precision import DEFAULT_DPS, DomainError, context, to_complex, to_real
+from .precision import (DEFAULT_DPS, DomainError, _Deferred, context, float_context, to_complex,
+                        to_real)
 
-
-class _Deferred:
-    """A module imported when one of its attributes is first read.
-
-    Only the double-precision oracles use numpy and scipy, so reports, spectra
-    and the exact suites never pay their import.  Each attribute is cached on
-    the instance, so later reads are plain attribute lookups.  The oracles read
-    `_sp.jv` and the like at call time, so a stand-in rebound as
-    `operators._sp` (perfbench/tracer.py counts Bessel calls so) sees them all.
-    """
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr):
-        value = getattr(import_module(self._name), attr)
-        setattr(self, attr, value)
-        return value
-
-
+# Only the double-precision oracles use numpy and scipy, so reports, spectra and
+# the exact suites never pay their import.  The oracles read `_sp.jv` and the
+# like at call time, so a stand-in rebound as `operators._sp`
+# (perfbench/tracer.py counts Bessel calls so) sees them all.
 np = _Deferred("numpy")
 _sp = _Deferred("scipy.special")
 
@@ -573,26 +557,26 @@ def zeta_det_oracle(op: ModelOperator, eigenvalues):
     a = M + 1 + q, delta_i the relative frequency correction.  Exact on the
     free Dirichlet operator (det = 2L), which pins the normalization.
     """
-    import mpmath as mp
+    ctx = float_context()
     lam = np.asarray(eigenvalues, dtype=float)
     mus = np.sqrt(lam)
     c, (q, a1, a2, a3) = _tail_fit(mus, op.length)
     M = len(mus)
-    aM = mp.mpf(M + 1) + q
+    aM = ctx.mpf(M + 1) + q
 
     partial = math.fsum(2.0 * np.log(mus))
-    zh0 = mp.mpf(1) / 2 - aM
-    zh0p = mp.loggamma(aM) - mp.log(2 * mp.pi) / 2
+    zh0 = ctx.mpf(1) / 2 - aM
+    zh0p = ctx.loggamma(aM) - ctx.log(2 * ctx.pi) / 2
     # sum_{i>M} delta_i with delta_i = (a1/i + a2/i^2 + a3/i^3)/(i+q)
     if abs(q) > 1e-8:
-        T1 = (mp.digamma(aM) - mp.digamma(M + 1)) / q
-        T2 = (mp.zeta(2, M + 1) - T1) / q
-        T3 = (mp.zeta(3, M + 1) - T2) / q
+        T1 = (ctx.digamma(aM) - ctx.digamma(M + 1)) / q
+        T2 = (ctx.zeta(2, M + 1) - T1) / q
+        T3 = (ctx.zeta(3, M + 1) - T2) / q
     else:
-        T1 = mp.zeta(2, M + 1)
-        T2 = mp.zeta(3, M + 1)
-        T3 = mp.zeta(4, M + 1)
+        T1 = ctx.zeta(2, M + 1)
+        T2 = ctx.zeta(3, M + 1)
+        T3 = ctx.zeta(4, M + 1)
     Sdelta = a1 * T1 + a2 * T2 + a3 * T3
-    ztail = -2 * mp.log(c) * zh0 + 2 * zh0p - 2 * Sdelta
-    zprime0 = -mp.mpf(partial) + ztail
-    return float(mp.e ** (-zprime0))
+    ztail = -2 * ctx.log(c) * zh0 + 2 * zh0p - 2 * Sdelta
+    zprime0 = -ctx.mpf(partial) + ztail
+    return float(ctx.e ** (-zprime0))

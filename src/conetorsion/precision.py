@@ -21,17 +21,41 @@ Error model: a single documented operation returns a value with relative
 error at most ``10**(5 - P)``.  This is a consequence of mpmath's internal
 error control plus the guard digits; it is not proved here but is enforced
 empirically by the precision-doubling checks in the test suite.
+
+mpmath, like numpy and scipy in ``operators``, is imported on first use
+(``_Deferred``): ``context`` and ``float_context`` are the first readers, so
+the CLI import, ``spectrum`` and the exact suites of ``verify`` never load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath
+from importlib import import_module
 
 DEFAULT_DPS = 50
 GUARD_DIGITS = 10
 MIN_DPS = 20
+
+
+class _Deferred:
+    """A module imported when one of its attributes is first read.
+
+    Each attribute is cached on the instance, so later reads are plain
+    attribute lookups.  Readers look attributes up at call time (`mpmath.mp`,
+    `_sp.jv`), so a stand-in rebound under the module-level name sees every
+    later read.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+mpmath = _Deferred("mpmath")
 
 
 class DomainError(ValueError):
@@ -48,6 +72,14 @@ def context(P: int = DEFAULT_DPS) -> mpmath.ctx_mp.MPContext:
         raise PrecisionError(f"working precision must be >= {MIN_DPS} digits, got {P}")
     ctx = mpmath.mp.clone()
     ctx.dps = P + GUARD_DIGITS
+    return ctx
+
+
+def float_context() -> mpmath.ctx_mp.MPContext:
+    """A fresh mpmath context at 53 bits, a float's precision, for the steps
+    whose result becomes a float; the global ``mpmath.mp`` never reaches it."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = 53
     return ctx
 
 

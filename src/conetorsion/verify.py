@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from . import olver, operators, spectrum, torsion, zeta
 from .berezin import CollarMetric, b_class, scaled
-from .precision import (bessel_i, bessel_i_prime, bessel_k, bessel_k_prime, context, to_complex,
-                        to_real)
+from .precision import (bessel_i, bessel_i_prime, bessel_k, bessel_k_prime, context,
+                        float_context, to_complex, to_real)
 
 
 def _result(name, passed, measure, tolerance, details=None):
@@ -189,10 +187,11 @@ def check_large_order_decay(P: int = 60):
 
     results = {}
     ok = True
+    float_ctx = float_context()
     for R in range(1, 5):
         r20, r40, r80 = remainder(R, 20), remainder(R, 40), remainder(R, 80)
-        o1 = float(mpmath.log(r20 / r40, 2))
-        o2 = float(mpmath.log(r40 / r80, 2))
+        o1 = float(float_ctx.log(r20 / r40, 2))
+        o2 = float(float_ctx.log(r40 / r80, 2))
         results[R] = (o1, o2)
         ok = ok and abs(o1 - (R + 1)) <= 0.2 and abs(o2 - (R + 1)) <= 0.2
     return _result("largenu", ok, {r: tuple(round(v, 3) for v in o) for r, o in results.items()},

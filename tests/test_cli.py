@@ -43,35 +43,42 @@ def run_module(cwd, *argv):
     return res.returncode, res.stdout, res.stderr
 
 
-# every command here must leave numpy and scipy unloaded
+# every command here must leave numpy and scipy unloaded; mpmath loads at the
+# first precision context, so the exact commands, which come first, leave it out
 NO_ORACLE_COMMANDS = """
 import contextlib, io, json, sys
 from conetorsion import cli
 spec = sys.argv[1]
 commands = [
-    ["torsion", "--base", "sphere:3"],
     ["verify", "--suite", "dm"],
     ["verify", "--suite", "scaling"],
     ["verify", "--suite", "duality"],
+    ["spectrum", "--base", "sphere:3", "--cutoff", "20", "--out", spec],
+    ["torsion", "--base", "sphere:3", "--precision", "10"],
+    ["torsion", "--base", "sphere:3"],
     ["verify", "--suite", "wronskian"],
     ["verify", "--suite", "largenu"],
     ["verify", "--suite", "propp"],
     ["verify", "--suite", "propab"],
-    ["spectrum", "--base", "sphere:3", "--cutoff", "20", "--out", spec],
     ["torsion", "--spectrum-file", spec],
 ]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in commands]
-print(json.dumps({"codes": codes,
+codes, mpmath_loaded = [], []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in commands:
+        codes.append(cli.main(argv))
+        mpmath_loaded.append("mpmath" in sys.modules)
+print(json.dumps({"codes": codes, "mpmath": mpmath_loaded,
                   "loaded": sorted({"numpy", "scipy"} & set(sys.modules))}))
 """
 
 
 def test_commands_without_an_oracle_never_load_numpy_or_scipy(tmp_path):
-    # a subprocess, because other tests load numpy into the pytest process
+    # a subprocess, because other tests load numpy and mpmath into the pytest process
     out = run_fresh(NO_ORACLE_COMMANDS, str(tmp_path / "s3.spec"))
-    assert out["codes"] == [0] * 10
+    assert out["codes"] == [0, 0, 0, 0, 1] + [0] * 6
     assert out["loaded"] == []
+    # dm, scaling, duality, the spectrum write and a refused precision: no mpmath
+    assert out["mpmath"] == [False] * 5 + [True] * 6
 
 
 ORACLE_CALL = """
@@ -97,7 +104,16 @@ def test_an_oracle_loads_numpy_and_scipy_on_first_use():
 
 def test_the_package_import_loads_neither_dataclasses_nor_inspect():
     out = run_fresh("import json, sys\nimport conetorsion.cli\n"
-                    "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
+                    "print(json.dumps(sorted({'dataclasses', 'inspect', 'mpmath'}"
+                    " & set(sys.modules))))")
+    assert out == []
+
+
+def test_the_cli_import_loads_every_package_module():
+    # perfbench/tracer.py wraps its LAYERS functions in the modules that this import loads
+    out = run_fresh("import json, pkgutil, sys\nimport conetorsion.cli\n"
+                    "print(json.dumps([m.name for m in pkgutil.iter_modules(conetorsion.__path__)"
+                    " if 'conetorsion.' + m.name not in sys.modules]))")
     assert out == []
 
 

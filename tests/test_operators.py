@@ -203,6 +203,24 @@ def test_zeta_det_oracle_matches_harmonic_closed_form():
     assert abs(oracle - closed) / closed < 1e-8
 
 
+def test_zeta_det_oracle_ignores_the_global_mpmath_precision(monkeypatch):
+    # its continuation runs at 53 bits in a context of its own; at the global
+    # mp.dps = 4 it would give 2.8936 here, against 2 sqrt 2 = 2.8284
+    op = harmonic_operator(1, 3, F(1, 2))
+    lam = eigenvalues_oracle(op, 320)
+    det = zeta_det_oracle(op, lam)
+    monkeypatch.setattr(mp.mp, "dps", 4)
+    assert zeta_det_oracle(op, lam) == det
+    assert abs(det - 2 * math.sqrt(2)) < 1e-8
+
+
+def test_largenu_orders_ignore_the_global_mpmath_precision(monkeypatch):
+    # at the global mp.dps = 3, the R = 3 order would read 4.013 instead of 4.012
+    expected = verify.check_large_order_decay()
+    monkeypatch.setattr(mp.mp, "dps", 3)
+    assert verify.check_large_order_decay() == expected
+
+
 def test_oracle_count_guard():
     with pytest.raises(ValueError):
         eigenvalues_oracle(ModelOperator("h0", 1.0, F(1), F(1, 2)), 10000)
