@@ -5,7 +5,7 @@ term, a base-torsion term, and a residual term, and cross-validates the
 identity between the residual term and the boundary metric-anomaly class of
 the truncated cone, at arbitrary working precision.
 
-Modules: precision (special functions), olver (exact expansion
+Modules: precision (working-precision contexts), olver (exact expansion
 coefficients), spectrum (base spectra), zeta (continuations), operators
 (one-dimensional model problems and oracles), berezin (the anomaly class),
 torsion (assembly), verify (quantitative suites), cli (driver).

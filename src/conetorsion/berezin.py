@@ -116,7 +116,7 @@ def _pi_value(x: Polynomial, P: int):
     if x.nvars != 1:
         raise ArithmeticError("scale must be folded before numeric evaluation")
     ctx = context(P)
-    return x.evaluate(lambda p: ctx.pi ** (ctx.mpf(p) / 2), P, ctx)
+    return x.evaluate(lambda p: ctx.pi ** (ctx.mpf(p) / 2), ctx)
 
 
 def b_class(cm: CollarMetric) -> AnomalyClass:

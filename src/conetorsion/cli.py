@@ -17,7 +17,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 from . import spectrum, torsion, verify
-from .precision import PrecisionError
+from .precision import DEFAULT_DPS, MIN_DPS, PrecisionError
 from .spectrum import MalformedSpectrumFile, UnsupportedManifoldError
 
 DEFAULT_PRECISION_ENV = "CONETORSION_PRECISION"
@@ -54,7 +54,7 @@ def _default_precision() -> int:
             return int(raw)
         except ValueError:
             raise PrecisionError(f"bad {DEFAULT_PRECISION_ENV}={raw!r}")
-    return 50
+    return DEFAULT_DPS
 
 
 def parse_base(spec: str) -> spectrum.BaseManifold:
@@ -112,8 +112,8 @@ def _breakdown_table(report: dict) -> str:
 
 def cmd_torsion(args) -> int:
     precision = _default_precision() if args.precision is None else args.precision
-    if precision < 20:
-        raise UsageError("precision must be at least 20 digits")
+    if precision < MIN_DPS:
+        raise UsageError(f"precision must be at least {MIN_DPS} digits")
     M = _load_base(args)
     eps_list = (tuple(_fraction_in("--eps", e, 0, 1) for e in args.eps.split(","))
                 if args.eps else (Fraction(1, 2), Fraction(1, 4)))
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t = sub.add_parser("torsion", parents=[source, out], help="full torsion breakdown report")
     p_t.add_argument("--precision", type=int,
-                     help="working precision in decimal digits (>= 20)")
+                     help=f"working precision in decimal digits (>= {MIN_DPS})")
     p_t.add_argument("--format", choices=("json", "table"), default="json")
     p_t.add_argument("--eps", help="comma-separated truncation radii for the audits, e.g. 1/2,1/4")
     p_t.set_defaults(fn=cmd_torsion)

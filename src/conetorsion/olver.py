@@ -143,11 +143,11 @@ class Polynomial:
             return out.get((), Fraction(0))
         return Polynomial._of(self.nvars - 1, {k: c for k, c in out.items() if c})
 
-    def evaluate(self, monomial, P: int, ctx):
+    def evaluate(self, monomial, ctx):
         """Numeric value: sum of to_real(c) * monomial(*exponents), in sorted key order."""
         acc = ctx.mpf(0)
         for k, c in sorted(self.coeffs.items()):
-            acc += to_real(c, P, ctx) * monomial(*k)
+            acc += to_real(c, ctx) * monomial(*k)
         return acc
 
 

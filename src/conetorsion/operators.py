@@ -44,10 +44,10 @@ _bessel_pack.  Neither cancels for real w: the K terms share a sign and
 I_{nu-1} > (nu/w) I_nu.  I_{nu-1} and I_nu are mpmath's besseli.  K_{nu-1} and K_nu come as one pair
 from _besselk_pair: mpmath's besselk below |w| = 8, and from |w| = 8 on
 Temme's continued fraction CF2 and the upward recurrence, because mpmath's
-besselk at integer order takes 0.15-0.5 s a call there.  The precision module
-keeps mpmath's besselk and the two-sided forms (I_{nu-1} + I_{nu+1})/2 and
--(K_{nu-1} + K_{nu+1})/2, so the wronskian suite and the tests' oracles check
-an independent route.
+besselk at integer order takes 0.15-0.5 s a call there.  The wronskian suite
+checks this pack, the one that every ratio and t(lambda) reads; the tests'
+reference route (tests/oracles.py) keeps mpmath's besselk and the two-sided
+forms (I_{nu-1} + I_{nu+1})/2 and -(K_{nu-1} + K_{nu+1})/2.
 
 _bessel_pack memoises each pack on (ctx.prec, nu, w): on the working
 precision, not the context, since every context(P) is a fresh clone.  The
@@ -66,6 +66,7 @@ from fractions import Fraction
 
 from .precision import (DEFAULT_DPS, DomainError, _Deferred, context, float_context, to_complex,
                         to_real)
+from .spectrum import DegreeData
 
 # Only the double-precision oracles use numpy and scipy, so reports, spectra and
 # the exact suites never pay their import.  The oracles read `_sp.jv` and the
@@ -79,6 +80,14 @@ VARIANTS = ("psi2", "phi2", "psi0", "phi0", "h0")
 
 class RootIsolationError(RuntimeError):
     """The eigenvalue search could not certify a complete root list."""
+
+
+def _inner_radius(eps) -> Fraction:
+    """eps as a Fraction, refused unless it lies in (0,1)."""
+    eps_f = Fraction(eps)
+    if not 0 < eps_f < 1:
+        raise DomainError(f"eps must lie in (0,1), got {eps}")
+    return eps_f
 
 
 class ModelOperator(namedtuple("ModelOperator", "variant nu A eps")):
@@ -95,8 +104,8 @@ class ModelOperator(namedtuple("ModelOperator", "variant nu A eps")):
     def __new__(cls, variant: str, nu: float, A: Fraction, eps: Fraction | None = None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if eps is not None and not 0 < eps < 1:
-            raise DomainError(f"eps must lie in (0,1), got {eps}")
+        if eps is not None:
+            _inner_radius(eps)
         if nu < 0:
             raise DomainError("order nu must be nonnegative")
         return tuple.__new__(cls, (variant, nu, A, eps))
@@ -250,18 +259,16 @@ def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
     if variant not in ("psi2", "phi2", "psi0", "phi0"):
         raise ValueError("truncated ratios exist for psi2/phi2/psi0/phi0")
     ctx = context(P)
-    eps_f = Fraction(eps)
-    if not 0 < eps_f < 1:
-        raise DomainError(f"eps must lie in (0,1), got {eps}")
-    nu_m = to_real(nu, P, ctx)
+    eps_f = _inner_radius(eps)
+    nu_m = to_real(nu, ctx)
     if nu_m <= 0:
         raise DomainError("truncated quotients require nu > 0")
     if z == 0:
         return ctx.mpf(1)
-    w = nu_m * to_complex(z, P, ctx)
+    w = nu_m * to_complex(z, ctx)
     rows = []
     for side, kind, beta in end_conditions(variant, A, eps_f):
-        x0 = to_real(eps_f, P, ctx) if side == "eps" else ctx.mpf(1)
+        x0 = to_real(eps_f, ctx) if side == "eps" else ctx.mpf(1)
         I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w * x0)
         p = x0 ** nu_m
         # (C, t C'(t)) at t = w x0 for I_nu and K_nu, at t = x0 for t^nu and t^-nu
@@ -269,7 +276,7 @@ def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
         if kind == "D":
             rows.append([ctx.sqrt(x0) * c for c, _ in basis])
         else:
-            shift = to_real(beta + Fraction(1, 2), P, ctx)
+            shift = to_real(beta + Fraction(1, 2), ctx)
             rows.append([(tc + shift * c) / ctx.sqrt(x0) for c, tc in basis])
     (lI, lK, lp, lm), (rI, rK, rp, rm) = rows
     val = 2 * nu_m * (lI * rK - lK * rI) / (lp * rm - lm * rp)
@@ -290,18 +297,14 @@ def t_function(k: int, n: int, nu, eps, lam, P: int = DEFAULT_DPS):
     """
     if n < 1 or n % 2 == 0:
         raise DomainError("n must be odd")
-    A = Fraction(n - 1, 2) - k
     ctx = context(P)
-    nu_m = to_real(nu, P, ctx)
-    A_m = to_real(A, P, ctx)
-    eps_f = Fraction(eps)
-    if not 0 < eps_f < 1:
-        raise DomainError(f"eps must lie in (0,1), got {eps}")
-    eps_m = to_real(eps_f, P, ctx)
+    nu_m = to_real(nu, ctx)
+    A_m = to_real(DegreeData(k, n).A, ctx)
+    eps_m = to_real(_inner_radius(eps), ctx)
     if nu_m <= abs(A_m):
         raise DomainError("frequencies satisfy nu > |A|")
 
-    lam_m = to_complex(lam, P, ctx)
+    lam_m = to_complex(lam, ctx)
     if lam_m.imag == 0 and lam_m.real >= 0:
         raise DomainError("lam on [0, +inf), the branch cut of sqrt(-lam) and its end point")
     w = nu_m * ctx.sqrt(-lam_m)
@@ -321,9 +324,9 @@ def ab_coefficients(k: int, n: int, nu, eps, P: int = DEFAULT_DPS):
     """(a, b) of the large-argument law t ~ a log(-lam) + b: a = 1 and
     b = 2 log eps - log(1 - A^2/nu^2)."""
     ctx = context(P)
-    A = Fraction(n - 1, 2) - k
-    nu_m = to_real(nu, P, ctx)
-    b = 2 * ctx.log(to_real(Fraction(eps), P, ctx)) - ctx.log(1 - to_real(A, P, ctx) ** 2 / nu_m ** 2)
+    nu_m = to_real(nu, ctx)
+    A_m = to_real(DegreeData(k, n).A, ctx)
+    b = 2 * ctx.log(to_real(Fraction(eps), ctx)) - ctx.log(1 - A_m ** 2 / nu_m ** 2)
     return ctx.mpf(1), b
 
 
@@ -333,16 +336,14 @@ def h_det(k: int, n: int, eps, P: int = DEFAULT_DPS):
         raise DomainError("n must be odd (k = n/2 never occurs)")
     if not 0 <= k <= n:
         raise ValueError(f"degree k must lie in 0..{n}")
-    eps_f = Fraction(eps)
-    if not 0 < eps_f < 1:
-        raise DomainError(f"eps must lie in (0,1), got {eps}")
+    eps_f = _inner_radius(eps)
     ctx = context(P)
-    return 2 * to_real(eps_f, P, ctx) ** (k - ctx.mpf(n) / 2)
+    return 2 * to_real(eps_f, ctx) ** (k - ctx.mpf(n) / 2)
 
 
 def harmonic_operator(k: int, n: int, eps) -> ModelOperator:
     """The degree-k harmonic-sector operator on [eps,1] (order |A_k|, mixed bc)."""
-    A = Fraction(n - 1, 2) - k
+    A = DegreeData(k, n).A
     return ModelOperator("h0", float(abs(A)), A, Fraction(eps))
 
 

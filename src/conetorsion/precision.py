@@ -1,21 +1,16 @@
-"""Arbitrary-precision special functions with explicit working precision.
+"""Working-precision mpmath contexts and exact conversion into them.
 
-Every routine takes the target precision ``P`` (decimal digits) as an
-explicit argument and evaluates inside a throwaway mpmath context set to
-``P`` plus a guard band, so no global precision state leaks between calls
-and values can be shared freely across threads.
+A numeric routine takes the target precision ``P`` (decimal digits) as an
+explicit argument, makes a throwaway context with ``context(P)`` (``P`` plus
+a guard band) and evaluates inside it, so no global precision state leaks
+between calls and values can be shared freely across threads.  ``to_real``
+and ``to_complex`` bring ints, ``Fraction``s (exactly), strings, floats and
+(re, im) pairs into a given context.  Steps whose result becomes a float
+take ``float_context()``, 53 bits.
 
-Conventions:
-
-* logs and non-integer powers use the principal branch on the plane cut
-  along the negative real axis; values on the cut are the limit from the
-  upper side (mpmath's convention).
-* modified Bessel functions are evaluated for ``Re z >= 0`` (the validity
-  sector of every formula in this package); the imaginary axis is accepted
-  as the boundary limit.
-* derivative formulas use the stable two-term recurrences
-  ``I' = (I_{nu-1} + I_{nu+1})/2`` and ``K' = -(K_{nu-1} + K_{nu+1})/2``
-  rather than mpmath's ``derivative=`` keyword (which ``besselk`` ignores).
+Logs and non-integer powers use the principal branch on the plane cut along
+the negative real axis; values on the cut are the limit from the upper side
+(mpmath's convention).
 
 Error model: a single documented operation returns a value with relative
 error at most ``10**(5 - P)``.  This is a consequence of mpmath's internal
@@ -83,70 +78,24 @@ def float_context() -> mpmath.ctx_mp.MPContext:
     return ctx
 
 
-def to_real(x, P: int = DEFAULT_DPS, ctx=None):
-    """Convert int/Fraction/str/float/mpf to an mpf at precision P (exactly for rationals)."""
-    ctx = ctx or context(P)
+def _int_to_real(m: int, ctx):
+    """ctx.mpf(m), bit for bit, without mpmath's pure-Python from_int stripping
+    m's trailing zero bits one chunk at a time (quadratic in their count)."""
+    s = (m & -m).bit_length() - 1 if m else 0
+    return ctx.ldexp(ctx.mpf(m >> s), s)
+
+
+def to_real(x, ctx):
+    """Convert int/Fraction/str/float/mpf to an mpf of ctx (exactly for rationals)."""
     if isinstance(x, Fraction):
-        return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+        return _int_to_real(x.numerator, ctx) / _int_to_real(x.denominator, ctx)
     return ctx.mpf(x)
 
 
-def to_complex(z, P: int = DEFAULT_DPS, ctx=None):
-    ctx = ctx or context(P)
+def to_complex(z, ctx):
+    """Convert a to_real value or a (re, im) pair of them to an mpc of ctx."""
     if isinstance(z, Fraction):
-        return ctx.mpc(to_real(z, P, ctx))
+        return ctx.mpc(to_real(z, ctx))
     if isinstance(z, tuple):
-        return ctx.mpc(to_real(z[0], P, ctx), to_real(z[1], P, ctx))
+        return ctx.mpc(to_real(z[0], ctx), to_real(z[1], ctx))
     return ctx.mpc(z)
-
-
-def _check_bessel_args(nu, z, ctx):
-    if nu < 0:
-        raise DomainError(f"Bessel order must be nonnegative, got {nu}")
-    if z == 0:
-        raise DomainError("Bessel functions are singular/undefined at z = 0 here")
-    if ctx.re(z) < 0 and ctx.im(z) == 0:
-        raise DomainError(f"argument {z} lies on the branch cut (negative real axis)")
-    if ctx.re(z) < -abs(ctx.im(z)) * ctx.mpf("1e-30"):
-        # |arg z| <= pi/2 is the validity sector used throughout.
-        raise DomainError(f"argument {z} outside the sector |arg z| <= pi/2")
-
-
-def bessel_i(nu, z, P: int = DEFAULT_DPS):
-    """Modified Bessel function of the first kind I_nu(z)."""
-    ctx = context(P)
-    nu = to_real(nu, P, ctx)
-    z = to_complex(z, P, ctx)
-    _check_bessel_args(nu, z, ctx)
-    v = ctx.besseli(nu, z)
-    return v.real if z.imag == 0 else v
-
-
-def bessel_i_prime(nu, z, P: int = DEFAULT_DPS):
-    """d/dz I_nu(z) via the recurrence (I_{nu-1} + I_{nu+1})/2."""
-    ctx = context(P)
-    nu = to_real(nu, P, ctx)
-    z = to_complex(z, P, ctx)
-    _check_bessel_args(nu, z, ctx)
-    v = (ctx.besseli(nu - 1, z) + ctx.besseli(nu + 1, z)) / 2
-    return v.real if z.imag == 0 else v
-
-
-def bessel_k(nu, z, P: int = DEFAULT_DPS):
-    """Modified Bessel function of the second kind K_nu(z)."""
-    ctx = context(P)
-    nu = to_real(nu, P, ctx)
-    z = to_complex(z, P, ctx)
-    _check_bessel_args(nu, z, ctx)
-    v = ctx.besselk(nu, z)
-    return v.real if z.imag == 0 else v
-
-
-def bessel_k_prime(nu, z, P: int = DEFAULT_DPS):
-    """d/dz K_nu(z) via the recurrence -(K_{nu-1} + K_{nu+1})/2."""
-    ctx = context(P)
-    nu = to_real(nu, P, ctx)
-    z = to_complex(z, P, ctx)
-    _check_bessel_args(nu, z, ctx)
-    v = -(ctx.besselk(nu - 1, z) + ctx.besselk(nu + 1, z)) / 2
-    return v.real if z.imag == 0 else v

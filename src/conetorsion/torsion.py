@@ -72,8 +72,8 @@ class TorsionBreakdown(namedtuple("TorsionBreakdown", "ctx top tors res_spectral
         if self.approximate:
             raise ApproximateOnlyError("the torsion difference needs exact zeta'(0, ccl_k) and residues")
         ctx = self.ctx
-        res = to_real(self.res_spectral, ctx=ctx)
-        return res - self.top - self.tors + self.log_eps * ctx.log(to_real(eps, ctx=ctx))
+        res = to_real(self.res_spectral, ctx)
+        return res - self.top - self.tors + self.log_eps * ctx.log(to_real(eps, ctx))
 
 
 def top_term(M: BaseManifold, P: int = DEFAULT_DPS):
@@ -126,7 +126,7 @@ def volume(M: BaseManifold, P: int = DEFAULT_DPS):
         half = (M.n + 1) // 2
         return 2 * ctx.pi ** half / ctx.factorial(half - 1)
     if M.kind == "torus":
-        return (2 * ctx.pi / ctx.sqrt(to_real(M.scale, P, ctx))) ** M.n
+        return (2 * ctx.pi / ctx.sqrt(to_real(M.scale, ctx))) ** M.n
     raise ApproximateOnlyError("file-backed bases carry no metric volume")
 
 
@@ -174,7 +174,7 @@ def torsion_breakdown(M: BaseManifold, P: int = DEFAULT_DPS) -> TorsionBreakdown
         res_anomaly=res_anom,
         total=None if tors is None or res_anom is None else top + tors + res_anom,
         headline_gap=None if res_spec is None or res_anom is None
-        else abs(res_anom - to_real(res_spec, ctx=ctx)),
+        else abs(res_anom - to_real(res_spec, ctx)),
         log_eps=c,
     )
 
@@ -216,7 +216,7 @@ def torsion_report(M: BaseManifold, P: int = DEFAULT_DPS, eps_list=(Fraction(1, 
     ctx = bd.ctx
 
     def fmt(x):
-        return None if x is None else ctx.nstr(to_real(x, P, ctx), P, strip_zeros=False)
+        return None if x is None else ctx.nstr(to_real(x, ctx), P, strip_zeros=False)
 
     out = {"base": M.name, "n": M.n, "rank": M.rank, "precision": P}
     out["breakdown"] = {key: fmt(getattr(bd, key))

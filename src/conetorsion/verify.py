@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from . import olver, operators, spectrum, torsion, zeta
 from .berezin import CollarMetric, b_class, scaled
-from .precision import (bessel_i, bessel_i_prime, bessel_k, bessel_k_prime, context,
-                        float_context, to_complex, to_real)
+from .precision import context, float_context, to_complex, to_real
+from .spectrum import DegreeData
 
 
 def _result(name, passed, measure, tolerance, details=None):
@@ -48,7 +48,8 @@ def check_dm_identity(rmax: int = 9):
 
 
 def check_wronskian(P: int = 50):
-    """|z (K I' - K' I) - 1| <= 1e-40 on a 12-point grid including complex z."""
+    """|z (K I' - K' I) - 1| <= 1e-40 on a 12-point grid including complex z, on the
+    Bessel pack that every determinant ratio and t(lam) reads."""
     grid = [
         (Fraction(1, 2), 1), (Fraction(1, 2), 2), (Fraction(3, 2), Fraction(1, 3)),
         (Fraction(5, 2), 5), (1, 1), (3, 2), (10, 7),
@@ -58,9 +59,9 @@ def check_wronskian(P: int = 50):
     ctx = context(P)
     worst = ctx.mpf(0)
     for nu, z in grid:
-        w = (bessel_k(nu, z, P) * bessel_i_prime(nu, z, P)
-             - bessel_k_prime(nu, z, P) * bessel_i(nu, z, P))
-        worst = max(worst, abs(to_complex(z, P, ctx) * w - 1))
+        z_m = to_complex(z, ctx)
+        I, Ip, K, Kp = operators._bessel_pack(ctx, to_real(nu, ctx), z_m)
+        worst = max(worst, abs(z_m * (K * Ip - Kp * I) - 1))
     tol = ctx.mpf(10) ** -40
     return _result("wronskian", worst <= tol, worst, tol, {"points": len(grid)})
 
@@ -172,7 +173,7 @@ def check_large_order_decay(P: int = 60):
     large-argument law), so the partial sums subtract it first.
     """
     k, n, eps, lam = 0, 3, Fraction(1, 2), Fraction(-1)
-    A = Fraction(n - 1, 2) - k
+    A = DegreeData(k, n).A
     ctx = context(P)
     # t at lam = -1:  (1 - eps^2 lam)^(-1/2) = (1 + eps^2)^(-1/2)
     t_eps = 1 / ctx.sqrt(1 + (ctx.mpf(eps.numerator) / eps.denominator) ** 2)
@@ -181,7 +182,7 @@ def check_large_order_decay(P: int = 60):
         t_val = operators.t_function(k, n, nu, eps, lam, P)
         acc = -2 * ctx.log(t_eps)
         for r in range(1, R + 1):
-            val = olver.large_nu_term(r, A).evaluate(lambda e: t_eps ** e, P, ctx)
+            val = olver.large_nu_term(r, A).evaluate(lambda e: t_eps ** e, ctx)
             acc += (-ctx.mpf(nu)) ** (-r) * val
         return abs(t_val - acc)
 
@@ -219,8 +220,8 @@ def check_headline(P: int = 50):
     s3_spec, s3_anom, s3_gap = torsion.truncated_cone_torsion(spectrum.sphere(3), P)
     passed = s1_ok and s3_gap <= 1e-6
     return _result("headline", passed, float(s3_gap), 1e-6, {
-        "sphere1": {"spectral": str(to_real(s1_spec, P, ctx)), "anomaly": str(s1_anom)},
-        "sphere3": {"spectral": str(to_real(s3_spec, P, ctx)), "anomaly": str(s3_anom)},
+        "sphere1": {"spectral": str(to_real(s1_spec, ctx)), "anomaly": str(s1_anom)},
+        "sphere3": {"spectral": str(to_real(s3_spec, ctx)), "anomaly": str(s3_anom)},
     })
 
 

@@ -64,12 +64,12 @@ def direct_sum_with_tail(M: BaseManifold, k: int, s, P: int = DEFAULT_DPS, cutof
     2 C nu^n with C fitted at the cutoff, which the growth checks enforce.
     """
     ctx = context(P)
-    s_m = to_complex(s, P, ctx)
+    s_m = to_complex(s, ctx)
     stream = nu_stream(M, k, cutoff)
     acc = ctx.mpc(0)
     count = 0
     for nu, mult in stream:
-        nu_m = to_real(nu, P, ctx) if isinstance(nu, Fraction) else ctx.mpf(nu)
+        nu_m = to_real(nu, ctx)
         acc += mult * nu_m ** (-s_m)
         count += mult
     if count == 0:
@@ -121,9 +121,9 @@ def _torus_residue(M: BaseManifold, k: int, r: int, P: int):
         return ctx.mpf(0)
     A2 = DegreeData(k, n).A ** 2
     B = M.rank * math.comb(n - 1, k)
-    pref = (ctx.pi / to_real(M.scale, P, ctx)) ** to_real(Fraction(n, 2), P, ctx)
-    res = 2 * B * pref * to_real((-A2) ** ell, P, ctx) / ctx.factorial(ell)
-    res /= ctx.gamma(to_real(Fraction(2 * r + 1, 2), P, ctx))
+    pref = (ctx.pi / to_real(M.scale, ctx)) ** to_real(Fraction(n, 2), ctx)
+    res = 2 * B * pref * to_real((-A2) ** ell, ctx) / ctx.factorial(ell)
+    res /= ctx.gamma(to_real(Fraction(2 * r + 1, 2), ctx))
     return res
 
 
@@ -239,7 +239,7 @@ def log_form_value(form: dict, P: int = DEFAULT_DPS):
             x = -ctx.log(2 * ctx.pi) / 2
         else:
             x = ctx.zeta(-j, 1, 1)
-        acc += to_real(c, P, ctx) * x
+        acc += to_real(c, ctx) * x
     return acc
 
 

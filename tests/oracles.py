@@ -16,11 +16,15 @@ polynomials one Fraction product per pair of terms, the reference of
 Polynomial.__mul__, and weyl_fit_per_copy is the leading-residue Weyl fit
 over one float per eigenvalue copy, the reference of the per-line fit of
 file spectra.  The Bessel values come from
-the precision module (mpmath's besseli and besselk, two-sided derivative
-recurrences), not from the operators module's Bessel pack, so the checks share
-no Bessel code with the routes they check.  eigen_condition_jy is the
-eigencondition in the J, Y basis at every mu, the reference of the oracle's
-winding contour, which takes the Hankel basis at complex mu.
+bessel_i, bessel_i_prime, bessel_k and bessel_k_prime here: mpmath's besseli
+and besselk for Re z >= 0 (the imaginary axis accepted as the boundary limit),
+each in a context of its own, with the two-sided derivative recurrences
+I' = (I_{nu-1} + I_{nu+1})/2 and K' = -(K_{nu-1} + K_{nu+1})/2, not from the
+operators module's Bessel pack (one-sided recurrences, the K pair's continued
+fraction), so the checks share no Bessel code with the routes they check.
+eigen_condition_jy is the eigencondition in the J, Y basis at every mu, the
+reference of the oracle's winding contour, which takes the Hankel basis at
+complex mu.
 """
 
 import math
@@ -30,17 +34,7 @@ from operator import add
 from conetorsion import olver
 from conetorsion.olver import Polynomial
 from conetorsion.operators import end_conditions
-from conetorsion.precision import (
-    DEFAULT_DPS,
-    DomainError,
-    bessel_i,
-    bessel_i_prime,
-    bessel_k,
-    bessel_k_prime,
-    context,
-    to_complex,
-    to_real,
-)
+from conetorsion.precision import DEFAULT_DPS, DomainError, context, to_complex, to_real
 from conetorsion.spectrum import (
     BaseManifold,
     DegreeData,
@@ -55,18 +49,70 @@ from conetorsion.zeta import (
 )
 
 
+def _check_bessel_args(nu, z, ctx):
+    if nu < 0:
+        raise DomainError(f"Bessel order must be nonnegative, got {nu}")
+    if z == 0:
+        raise DomainError("Bessel functions are singular/undefined at z = 0 here")
+    if ctx.re(z) < 0 and ctx.im(z) == 0:
+        raise DomainError(f"argument {z} lies on the branch cut (negative real axis)")
+    if ctx.re(z) < -abs(ctx.im(z)) * ctx.mpf("1e-30"):
+        # |arg z| <= pi/2 is the validity sector used throughout.
+        raise DomainError(f"argument {z} outside the sector |arg z| <= pi/2")
+
+
+def bessel_i(nu, z, P: int = DEFAULT_DPS):
+    """Modified Bessel function of the first kind I_nu(z)."""
+    ctx = context(P)
+    nu = to_real(nu, ctx)
+    z = to_complex(z, ctx)
+    _check_bessel_args(nu, z, ctx)
+    v = ctx.besseli(nu, z)
+    return v.real if z.imag == 0 else v
+
+
+def bessel_i_prime(nu, z, P: int = DEFAULT_DPS):
+    """d/dz I_nu(z) via the recurrence (I_{nu-1} + I_{nu+1})/2."""
+    ctx = context(P)
+    nu = to_real(nu, ctx)
+    z = to_complex(z, ctx)
+    _check_bessel_args(nu, z, ctx)
+    v = (ctx.besseli(nu - 1, z) + ctx.besseli(nu + 1, z)) / 2
+    return v.real if z.imag == 0 else v
+
+
+def bessel_k(nu, z, P: int = DEFAULT_DPS):
+    """Modified Bessel function of the second kind K_nu(z)."""
+    ctx = context(P)
+    nu = to_real(nu, ctx)
+    z = to_complex(z, ctx)
+    _check_bessel_args(nu, z, ctx)
+    v = ctx.besselk(nu, z)
+    return v.real if z.imag == 0 else v
+
+
+def bessel_k_prime(nu, z, P: int = DEFAULT_DPS):
+    """d/dz K_nu(z) via the recurrence -(K_{nu-1} + K_{nu+1})/2."""
+    ctx = context(P)
+    nu = to_real(nu, ctx)
+    z = to_complex(z, ctx)
+    _check_bessel_args(nu, z, ctx)
+    v = -(ctx.besselk(nu - 1, z) + ctx.besselk(nu + 1, z)) / 2
+    return v.real if z.imag == 0 else v
+
+
 def det_ratio_full_cone(variant: str, nu, A, z, P: int = DEFAULT_DPS):
     """det(L + nu^2 z^2)/det(L) for the four operators on (0,1] (closed forms)."""
     if variant not in ("psi2", "phi2", "psi0", "phi0"):
         raise ValueError("full-cone ratios exist for psi2/phi2/psi0/phi0")
     ctx = context(P)
-    nu_m = to_real(nu, P, ctx)
+    nu_m = to_real(nu, ctx)
     if nu_m <= 0:
         raise DomainError("full-cone closed forms require nu > 0")
-    A_m = to_real(A, P, ctx)
+    A_m = to_real(A, ctx)
     if z == 0:
         return ctx.mpf(1)
-    z_m = to_complex(z, P, ctx)
+    z_m = to_complex(z, ctx)
     w = nu_m * z_m
     I, Ip = bessel_i(nu_m, w, P), bessel_i_prime(nu_m, w, P)
     if variant in ("psi0", "phi0"):
@@ -81,7 +127,7 @@ def det_ratio_full_cone(variant: str, nu, A, z, P: int = DEFAULT_DPS):
 
 
 def _bessel_values(nu, w, P):
-    """I, I', K, K' at w from the precision module."""
+    """I, I', K, K' at w from the two-sided wrappers above."""
     return (bessel_i(nu, w, P), bessel_i_prime(nu, w, P),
             bessel_k(nu, w, P), bessel_k_prime(nu, w, P))
 
@@ -89,10 +135,10 @@ def _bessel_values(nu, w, P):
 def det_ratio_truncated_displayed(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
     """The equivalent displayed Bessel-quotient closed forms (cross-check only)."""
     ctx = context(P)
-    nu_m = to_real(nu, P, ctx)
-    A_m = to_real(A, P, ctx)
-    eps_m = to_real(Fraction(eps), P, ctx)
-    z_m = to_complex(z, P, ctx)
+    nu_m = to_real(nu, ctx)
+    A_m = to_real(A, ctx)
+    eps_m = to_real(Fraction(eps), ctx)
+    z_m = to_complex(z, ctx)
     w = nu_m * z_m
     I, Ip, K, Kp = _bessel_values(nu_m, w, P)
     Ie, Ipe, Ke, Kpe = _bessel_values(nu_m, w * eps_m, P)
@@ -167,16 +213,16 @@ def hurwitz_value(mult: Polynomial, x0, s, P: int = DEFAULT_DPS):
         s_f = Fraction(s)
         if (s_f - 1,) in mult.coeffs:
             raise PoleError(s_f, mult.coeffs[s_f - 1,])
-        s_m = to_real(s_f, P, ctx)
+        s_m = to_real(s_f, ctx)
     else:
         s_m = ctx.mpc(s)
     acc = ctx.mpc(0)
-    a = to_real(x0, P, ctx)
+    a = to_real(x0, ctx)
     for (p,), c in sorted(mult.coeffs.items()):
         arg = s_m - p
         if arg == 1:
             raise PoleError(Fraction(p + 1), c)
-        acc += to_real(c, P, ctx) * ctx.zeta(arg, a)
+        acc += to_real(c, ctx) * ctx.zeta(arg, a)
     return acc.real if acc.imag == 0 else acc
 
 
@@ -202,9 +248,9 @@ def zeta_ccl_at_zero_hurwitz(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
     z0p = ctx.mpf(0)
     A = DegreeData(k, M.n).A
     for shift in (A, -A):
-        a = to_real(x0 - shift, P, ctx)
+        a = to_real(x0 - shift, ctx)
         for (q,), c in sorted(_shift_polynomial_variable(mult, shift).coeffs.items()):
-            z0p += to_real(c, P, ctx) * ctx.zeta(-q, a, 1)
+            z0p += to_real(c, ctx) * ctx.zeta(-q, a, 1)
     return z0, z0p
 
 
@@ -235,7 +281,7 @@ def residual_inner_sum_digamma(M: BaseManifold, k: int, P: int = DEFAULT_DPS):
         inner = ctx.mpf(0)
         for b, g in enumerate(bracket):
             if g:
-                inner += to_real(g, P, ctx) * ctx.digamma(b + r + ctx.mpf(1) / 2)
+                inner += to_real(g, ctx) * ctx.digamma(b + r + ctx.mpf(1) / 2)
         acc += residue * inner
     return acc
 

@@ -76,7 +76,7 @@ def _t_from_determinant_ratios(k, n, nu, eps, lam, P):
     """t(lam) assembled from the eight determinant ratios at z = sqrt(-lam)."""
     ctx = context(P)
     A = F(n - 1, 2) - k
-    z = ctx.sqrt(-to_complex(lam, P, ctx))
+    z = ctx.sqrt(-to_complex(lam, ctx))
     t = -ctx.log(det_ratio_truncated("psi2", nu, A, z, eps, P))
     t -= ctx.log(det_ratio_truncated("phi2", nu, A, z, eps, P))
     t += ctx.log(det_ratio_truncated("psi0", nu, A, z, eps, P))
@@ -412,6 +412,25 @@ def test_largenu_computes_each_pack_once(pack_counts):
     assert pack_counts == {"lookups": 24, "kpairs": 6, "besseli": 12}
 
 
+def test_wronskian_checks_the_pack_the_ratios_read(pack_counts):
+    assert verify.check_wronskian()["passed"]
+    # one pack per grid point, through the K-pair kernel that det_ratio_truncated reaches
+    assert pack_counts["lookups"] == 12 and pack_counts["kpairs"] == 12
+    assert len(operators._PACKS) == 12
+
+
+def test_wronskian_fails_on_a_wrong_k_pair(monkeypatch):
+    kernel = operators._besselk_pair
+
+    def flipped(ctx, nu, w):
+        K_prev, K = kernel(ctx, nu, w)
+        return -K_prev, K
+
+    monkeypatch.setattr(operators, "_PACKS", {})
+    monkeypatch.setattr(operators, "_besselk_pair", flipped)
+    assert verify.check_wronskian()["passed"] is False
+
+
 def test_a_pack_is_memoised_per_precision_not_per_context(pack_counts):
     for P in (40, 40, 50, 50):
         ctx = context(P)
@@ -436,13 +455,13 @@ def test_a_memoised_pack_equals_a_fresh_one(pack_counts, monkeypatch):
     P = 50
     for nu, w in PACK_ARGUMENTS:
         ctx = context(P)
-        operators._bessel_pack(ctx, to_real(nu, P, ctx), to_complex(w, P, ctx))
+        operators._bessel_pack(ctx, to_real(nu, ctx), to_complex(w, ctx))
     ctx = context(P)
-    memoised = [operators._bessel_pack(ctx, to_real(nu, P, ctx), to_complex(w, P, ctx))
+    memoised = [operators._bessel_pack(ctx, to_real(nu, ctx), to_complex(w, ctx))
                 for nu, w in PACK_ARGUMENTS]
     assert pack_counts["kpairs"] == len(PACK_ARGUMENTS)
     monkeypatch.setattr(operators, "_PACKS", {})
-    fresh = [operators._bessel_pack(ctx, to_real(nu, P, ctx), to_complex(w, P, ctx))
+    fresh = [operators._bessel_pack(ctx, to_real(nu, ctx), to_complex(w, ctx))
              for nu, w in PACK_ARGUMENTS]
     assert memoised == fresh
     # a memoised pack comes back as values of the caller's context
@@ -456,12 +475,12 @@ SWITCH = F(operators._CF2_SWITCH)
 def test_a_real_argument_gives_a_real_pack(monkeypatch, nu):
     P = 50
     ctx = context(P)
-    nu_m = to_real(nu, P, ctx)
+    nu_m = to_real(nu, ctx)
     for x in (SWITCH / 2, SWITCH, 3 * SWITCH):     # mpmath's K pair, then CF2
         monkeypatch.setattr(operators, "_PACKS", {})
-        as_complex = operators._bessel_pack(ctx, nu_m, ctx.mpc(to_real(x, P, ctx), 0))
+        as_complex = operators._bessel_pack(ctx, nu_m, ctx.mpc(to_real(x, ctx), 0))
         monkeypatch.setattr(operators, "_PACKS", {})
-        as_real = operators._bessel_pack(ctx, nu_m, to_real(x, P, ctx))
+        as_real = operators._bessel_pack(ctx, nu_m, to_real(x, ctx))
         assert all(type(v) is ctx.mpf for v in as_complex)
         assert as_complex == as_real
 KPAIR_ARGUMENTS = [(F(1, 3), 0), (SWITCH - F(1, 1000), 0), (SWITCH, 0), (7, 0), (80, 0),
@@ -472,7 +491,7 @@ KPAIR_ARGUMENTS = [(F(1, 3), 0), (SWITCH - F(1, 1000), 0), (SWITCH, 0), (7, 0), 
 def _reference_k(order, arg):
     """mpmath's K_order(arg) at 120 digits: 2P at P = 50 and P + 20 at P = 100."""
     ref = context(110)
-    return ref.besselk(to_complex(order, 110, ref).real, to_complex(arg, 110, ref))
+    return ref.besselk(to_complex(order, ref).real, to_complex(arg, ref))
 
 
 @pytest.mark.parametrize("nu", [F(1, 10), F(1, 2), F(1), F(3, 2), F(7, 3), F(20), F(79), F(80)],
@@ -480,9 +499,9 @@ def _reference_k(order, arg):
 def test_besselk_pair_matches_mpmath(nu):
     for P in (50, 100):
         ctx = context(P)
-        nu_m = to_complex(nu, P, ctx).real
+        nu_m = to_complex(nu, ctx).real
         for arg in KPAIR_ARGUMENTS:
-            got = operators._besselk_pair(ctx, nu_m, to_complex(arg, P, ctx))
+            got = operators._besselk_pair(ctx, nu_m, to_complex(arg, ctx))
             for value, order in zip(got, (nu - 1, nu)):
                 want = _reference_k(order, arg)
                 assert abs(value - want) <= ctx.mpf(10) ** -P * abs(want), (P, str(nu), arg)

@@ -1,20 +1,15 @@
-"""Special-function layer: closed forms, identities, precision contracts."""
+"""Precision contexts and conversions, and the tests' two-sided Bessel reference
+(oracles.py): closed forms, identities, precision contracts."""
 
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conetorsion import precision
-from conetorsion.precision import (
-    DomainError,
-    PrecisionError,
-    bessel_i,
-    bessel_i_prime,
-    bessel_k,
-    bessel_k_prime,
-    context,
-)
+from conetorsion.precision import DomainError, PrecisionError, context
+from oracles import bessel_i, bessel_i_prime, bessel_k, bessel_k_prime
 
 
 def test_half_order_i_closed_forms():
@@ -68,7 +63,7 @@ def test_digamma_classical_values():
     P = 50
     ctx = context(P)
     g = ctx.euler
-    half = precision.to_real(Fraction(1, 2), P, ctx)
+    half = precision.to_real(Fraction(1, 2), ctx)
     assert abs(ctx.digamma(half) - (-g - 2 * ctx.log(2))) < ctx.mpf("1e-55")
     assert abs(ctx.digamma(1) + g) < ctx.mpf("1e-55")
     want = -g - 2 * ctx.log(2) + 2 * (1 + ctx.mpf(1) / 3 + ctx.mpf(1) / 5)
@@ -78,7 +73,7 @@ def test_digamma_classical_values():
 def test_hurwitz_values():
     P = 50
     ctx = context(P)
-    assert ctx.zeta(0, precision.to_real(Fraction(1, 2), P, ctx)) == 0
+    assert ctx.zeta(0, precision.to_real(Fraction(1, 2), ctx)) == 0
     assert abs(ctx.zeta(2, 1) - ctx.pi ** 2 / 6) < ctx.mpf("1e-55")
     assert abs(ctx.zeta(0, 1, 1) + ctx.log(2 * ctx.pi) / 2) < ctx.mpf("1e-55")
 
@@ -87,8 +82,8 @@ def test_hurwitz_values():
 def test_hurwitz_recurrence(s, a):
     P = 40
     ctx = context(P)
-    a_m = precision.to_real(a, P, ctx)
-    s_m = ctx.mpc(*s) if isinstance(s, tuple) else precision.to_real(s, P, ctx)
+    a_m = precision.to_real(a, ctx)
+    s_m = ctx.mpc(*s) if isinstance(s, tuple) else precision.to_real(s, ctx)
     lhs = ctx.zeta(s_m, a_m) - ctx.zeta(s_m, a_m + 1)
     assert abs(lhs - a_m ** (-s_m)) < ctx.mpf(10) ** (5 - P)
 
@@ -101,8 +96,8 @@ def test_monotone_precision():
     ]
     for Q in (P, P + 10):
         ctx = context(Q)
-        pairs.append(ctx.zeta(precision.to_real(Fraction(5, 2), Q, ctx),
-                              precision.to_real(Fraction(1, 3), Q, ctx)))
+        pairs.append(ctx.zeta(precision.to_real(Fraction(5, 2), ctx),
+                              precision.to_real(Fraction(1, 3), ctx)))
     for lo, hi in zip(pairs[::2], pairs[1::2]):
         assert abs(mp.mpmathify(lo) - mp.mpmathify(hi)) <= abs(mp.mpmathify(hi)) * mp.mpf(10) ** (5 - P)
 
@@ -116,3 +111,21 @@ def test_domain_errors():
         bessel_i(1, (-2, 0), 30)
     with pytest.raises(PrecisionError):
         bessel_i(1, 1, 10)
+
+
+ZERO_BITS = st.integers(min_value=0, max_value=3000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-2 ** 700, max_value=2 ** 700), ZERO_BITS,
+       st.integers(min_value=1, max_value=2 ** 400), ZERO_BITS, st.integers(min_value=20, max_value=300))
+def test_to_real_rounds_rationals_as_mpmath_does(a, i, b, j, P):
+    # trailing zero bits go to ldexp, which does not round: the result is mpmath's, bit for bit
+    ctx = context(P)
+    num, den = a << i, b << j
+    assert precision._int_to_real(num, ctx)._mpf_ == ctx.mpf(num)._mpf_
+    assert precision._int_to_real(den, ctx)._mpf_ == ctx.mpf(den)._mpf_
+    x = Fraction(num, den)
+    want = ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+    assert precision.to_real(x, ctx)._mpf_ == want._mpf_
+    assert precision.to_complex(x, ctx).real._mpf_ == want._mpf_

@@ -89,7 +89,7 @@ def test_sphere3_residues():
             M = sphere(n, rank)
             weyl = n * rank * volume(M, P) / ((4 * ctx.pi) ** half * ctx.gamma(half + 1))
             for k in range(n):
-                got = to_real(zeta_shifted_residue(M, k, (n - 1) // 2), P, ctx)
+                got = to_real(zeta_shifted_residue(M, k, (n - 1) // 2), ctx)
                 assert abs(got - math.comb(n - 1, k) * weyl) < ctx.mpf(10) ** (5 - P), (n, rank, k)
 
 
@@ -193,6 +193,7 @@ def test_ccl_precision_doubling():
 def test_exact_sphere_data_matches_the_hurwitz_reference(P):
     """zeta(0), zeta'(0) and the residual inner sum of every degree against
     mpmath's Hurwitz zeta, zeta' and digamma, to 10^(5-P) relative to max(1, |reference|)."""
+    ctx = context(P)
     for n in (1, 3, 5, 7):
         for rank in (1, 2):
             M = sphere(n, rank)
@@ -203,7 +204,7 @@ def test_exact_sphere_data_matches_the_hurwitz_reference(P):
                          (residual_inner_sum(M, k, residues(M, k, P)),
                           residual_inner_sum_digamma(M, k, P))]
                 for got, ref in pairs:
-                    assert abs(ref - to_real(got, P)) <= mp.mpf(10) ** (5 - P) * max(1, abs(ref)), (n, rank, k)
+                    assert abs(ref - to_real(got, ctx)) <= mp.mpf(10) ** (5 - P) * max(1, abs(ref)), (n, rank, k)
 
 
 def test_base_torsion_circle():
