@@ -31,30 +31,28 @@ determinant 2 eps^(k - n/2): a dense sign scan, one vectorised Brent pass
 (scipy's brentq, step for step, on every bracket at once), and an
 argument-principle count on a contour symmetric under conjugation, so F is
 evaluated on its lower half only.  The scan and the Brent pass take F in the
-J, Y basis, the contour in the Hankel basis: at complex mu scipy's yv costs
-about as much as hankel1 and hankel2 together (7,680 points at Im mu = -1,
-nu = 0, 3/2 and 7/2, best of 7, scipy 1.17.1 on a 2-core VM: jv 1.7-2.1 ms,
-yv 3.3-12 ms, hankel1 2.5-8.1 ms, hankel2 0.9-5.4 ms).  On the real axis
-hankel1 is faster still, but it moves the last bits of the roots.
+J, Y basis, the contour in the J, H2 basis (_eigen_condition), where scipy's
+jv and hankel2 are the cheap kinds at complex mu.
 
 Derivatives come from the one-sided recurrences, two Bessel evaluations per
-function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y, H1, H2 in the
+function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y, H2 in the
 oracle, and I' = I_{nu-1} - (nu/w) I_nu, K' = -K_{nu-1} - (nu/w) K_nu in
 _bessel_pack.  Neither cancels for real w: the K terms share a sign and
-I_{nu-1} > (nu/w) I_nu.  I_{nu-1} and I_nu are mpmath's besseli.  K_{nu-1} and K_nu come as one pair
-from _besselk_pair: mpmath's besselk below |w| = 8, and from |w| = 8 on
-Temme's continued fraction CF2 and the upward recurrence, because mpmath's
-besselk at integer order takes 0.15-0.5 s a call there.  The wronskian suite
-checks this pack, the one that every ratio and t(lambda) reads; the tests'
-reference route (tests/oracles.py) keeps mpmath's besselk and the two-sided
-forms (I_{nu-1} + I_{nu+1})/2 and -(K_{nu-1} + K_{nu+1})/2.
+I_{nu-1} > (nu/w) I_nu.  I_{nu-1} and I_nu are mpmath's besseli.  K_{nu-1}
+and K_nu come as one pair from _besselk_pair: Temme's series below |w| = 30
+and his continued fraction CF2 from there on, then the upward recurrence.
+mpmath's besselk, 13-45 ms a call at integer order and P = 50 below |w| = 8
+(the pair: 1.3-1.4 ms) and 0.15-0.5 s above, is not used.  The wronskian
+suite checks this pack, the one that every ratio and t(lambda) reads; the
+tests' reference route (tests/oracles.py) keeps mpmath's besselk and the
+two-sided forms (I_{nu-1} + I_{nu+1})/2 and -(K_{nu-1} + K_{nu+1})/2.
 
 _bessel_pack memoises each pack on (ctx.prec, nu, w): on the working
 precision, not the context, since every context(P) is a fresh clone.  The
 memo sits above _besselk_pair, so the K-pair tests reach the kernel on every
 call.  det_ratio_truncated and t_function pass a real w as an mpc with
-imaginary part 0; the pack takes its real part, so besseli and CF2 run in
-real arithmetic.  check_det_ratios("small") then computes 18 packs for 432
+imaginary part 0; the pack takes its real part, so besseli and the K pair run
+in real arithmetic.  check_det_ratios("small") then computes 18 packs for 432
 lookups, and check_large_order_decay 6 for 24.
 """
 
@@ -161,57 +159,106 @@ def _bessel_pack(ctx, nu, w):
     return tuple(map(ctx.convert, _PACKS[key]))
 
 
-_CF2_SWITCH = 8
+_CF2_SWITCH = 30
 
 
 def _besselk_pair(ctx, nu, w):
     """(K_{nu-1}(w), K_nu(w)) for nu >= 0 and Re w >= 0.
 
-    Below |w| = _CF2_SWITCH both come from mpmath's besselk.  At or above it,
-    Steed's continued fraction CF2 (Temme, J. Comput. Phys. 19 (1975) 324;
-    Thompson and Barnett, Comput. Phys. Commun. 47 (1987) 245, for complex w)
-    gives K_mu and K_{mu+1} for mu = nu - floor(nu + 1/2) in [-1/2, 1/2), and
-    the upward recurrence K_{mu+j+1} = K_{mu+j-1} + (2(mu+j)/w) K_{mu+j}, which
-    is stable for K, carries them to the pair; nu < 1/2 takes one step down.
+    Two sources give K_mu and K_{mu+1} for mu = nu - floor(nu + 1/2) in
+    [-1/2, 1/2) (Temme, J. Comput. Phys. 19 (1975) 324): the series
+    _temme_series below |w| = _CF2_SWITCH, Steed's continued fraction
+    _temme_cf2 from there on.  The upward recurrence K_{mu+j+1} = K_{mu+j-1} +
+    (2(mu+j)/w) K_{mu+j}, stable for K, carries them to the pair.  Below
+    nu = 1/2 the sources take mu = -nu instead, and K_{-nu} = K_nu, K_{1-nu} =
+    K_{nu-1} is the pair itself, without a step down that would cancel
+    2 nu log10(2/|w|) digits at small w.  At mu = -1/2, every half-integer
+    order, CF2 ends at once (K_{1/2}(w) = sqrt(pi/2w) e^-w), so it serves every w.
 
-    CF2 needs about (D ln 10)^2 / (8|w|) terms for D digits on the real axis
-    and twice that on the imaginary axis.  The loop stops at D^2 terms, six
-    times what the switch needs, and raises ArithmeticError past that.
+    The switch is the crossover, in ms per source call as series / CF2 at
+    w = x (re) and w = ix (im), best of 7, with mpmath 1.3.0 (pure-Python
+    backend) on a 2-core VM:
 
-    The switch is the crossover against mpmath's two calls, measured in ms
-    per pair as CF2 + recurrence / mpmath at real w, best of 5, with mpmath
-    1.3.0 (pure-Python backend) on a 2-core VM:
+        P    mu       x = 8       16         20         25         30         40
+        40   0    re  1.4/9.3     3.0/4.1    2.4/3.3    3.2/2.8    3.3/2.5    4.1/2.2
+        40   0    im  3.2/35      4.4/17     8.8/24     10/11      6.8/9.5    8.4/7.6
+        40   1/3  re  1.7/6.7     2.4/3.8    2.9/3.2    3.3/2.8    3.8/2.5    4.8/2.1
+        40   1/3  im  3.8/36      5.7/17     6.1/14     7.3/11     8.2/9.8    11/8.5
+        50   0    re  1.5/10      2.2/5.8    2.5/4.7    3.0/4.0    3.6/3.4    4.6/2.8
+        50   0    im  3.3/52      4.7/31     5.7/21     8.3/18     7.4/16     9.7/11
+        50   1/3  re  1.9/10      2.6/5.5    3.0/4.6    3.5/4.3    4.1/3.7    6.0/2.9
+        50   1/3  im  4.5/60      11/27      7.3/22     8.3/17     10/15      13/12
+        100  0    re  4.6/44      6.0/37     7.1/23     4.4/14     4.8/13     5.8/9.8
+        100  0    im  7.8/259     14/109     9.4/95     11/75      18/58      21/63
+        100  1/3  re  5.1/62      6.5/35     7.5/28     5.5/15     6.7/17     7.8/11
+        100  1/3  im  13/253      19/187     21/153     18/115     26/104     30/75
 
-        P    nu   |w| = 4   5        6        7       8        10
-        40   1/3   24/6     22/6     18/6     16/7    14/6     11/6
-        40   1     26/20    21/23    17/23    15/24   14/24    11/26
-        40   2     26/28    20/31    18/32    15/32   14/36    12/38
-        40   20    26/32    21/33    18/33    16/34   14/38    13/42
-        40   80    29/26    23/27    19/29    17/28   14/30    13/36
-        50   1/3   38/6     31/7     27/7     24/7    21/8     17/8
-        50   1     39/28    31/30    26/32    25/34   23/33    17/35
-        50   2     39/41    32/44    27/46    24/48   21/48    18/55
-        50   20    38/41    29/42    26/46    23/48   21/50    17/54
-        50   80    38/31    31/33    28/33    25/36   22/38    11/33
-        100  1/3   106/14   82/9     66/16    107/17  95/17    78/17
-        100  1     184/73   147/79   70/62    57/51   48/60    36/82
-        100  2     119/99   112/107  97/107   69/105  70/117   62/122
-        100  20    118/90   95/94    79/101   71/107  61/110   47/118
-        100  80    120/66   103/86   64/100   53/72   59/121   62/130
-
-    At integer order CF2 wins from |w| = 4-5 at P = 40 and 50 and from 6-8 at
-    P = 100; 8 is the smallest |w| measured at which it wins for every
-    integer order and P.  mpmath's non-integer path stays faster to |w| = 20,
-    by 5-13 ms a pair at P <= 50 and 60-80 ms at P = 100.
+    On the real axis CF2 wins from |w| = 25 at P = 40 and from about 30 at
+    P = 50 and 60; at P = 100, and on the imaginary axis, the series wins to 40.
     """
     if w.real < 0:
         raise DomainError(f"K pair needs Re w >= 0, got w = {w}")
     if nu < 0:
         raise DomainError(f"K pair needs nu >= 0, got nu = {nu}")
-    if abs(w) < _CF2_SWITCH:
-        return ctx.besselk(nu - 1, w), ctx.besselk(nu, w)
     m = int(ctx.floor(nu + ctx.mpf(1) / 2))
-    mu = nu - m
+    mu = nu - m if m else -nu
+    cf2 = abs(w) >= _CF2_SWITCH or 2 * mu == -1
+    k0, k1 = (_temme_cf2 if cf2 else _temme_series)(ctx, nu, mu, w)
+    if m == 0:
+        return k1, k0
+    for j in range(1, m):
+        k0, k1 = k1, k0 + (2 * (mu + j) / w) * k1
+    return k0, k1
+
+
+def _temme_series(ctx, nu, mu, w):
+    """(K_mu(w), K_{mu+1}(w)) for |mu| <= 1/2 from Temme's series; nu names the
+    pair in the error.
+
+    The terms grow like I_mu(|w|) while K_mu(w) falls like e^(-w), so the sum
+    runs with 2|w|/ln 10 guard digits.  (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu)
+    cancels -log2|mu| bits and takes that many more; at mu = 0 it is -gamma.
+    The loop stops at dps^2 terms, as CF2 does, and raises ArithmeticError
+    past that; below the switch it needs at most about 140 (P = 100).
+    """
+    cap = ctx.dps ** 2
+    with ctx.extradps(int(2 * abs(w) / math.log(10)) + 1):
+        with ctx.extraprec(-ctx.mag(mu) if mu else 0):
+            rg_plus, rg_minus = ctx.rgamma(1 + mu), ctx.rgamma(1 - mu)
+            gamma1 = (rg_minus - rg_plus) / (2 * mu) if mu else -ctx.euler
+        d = -ctx.log(w / 2)
+        e = mu * d
+        f = (ctx.pi * mu / ctx.sinpi(mu) if mu else 1) * (
+            gamma1 * ctx.cosh(e) + (rg_minus + rg_plus) / 2 * (ctx.sinh(e) / e if e else 1) * d)
+        p = ctx.exp(e) / (2 * rg_plus)       # Gamma(1 + mu) (w/2)^-mu / 2
+        q = ctx.exp(-e) / (2 * rg_minus)     # Gamma(1 - mu) (w/2)^mu / 2
+        c, x = 1, w * w / 4
+        s, s1 = f, p
+        for i in range(1, cap + 1):
+            f = (i * f + p + q) / (i * i - mu * mu)
+            c *= x / i
+            p /= i - mu
+            q /= i + mu
+            term = c * f
+            s += term
+            s1 += c * (p - i * f)
+            if abs(term) <= ctx.eps * abs(s):
+                break
+        else:
+            raise ArithmeticError(f"K_nu series for nu = {nu}, w = {w} "
+                                  f"did not converge in {cap} terms")
+    return +s, 2 * s1 / w
+
+
+def _temme_cf2(ctx, nu, mu, w):
+    """(K_mu(w), K_{mu+1}(w)) for |mu| <= 1/2 from Steed's continued fraction CF2;
+    nu names the pair in the error.
+
+    Thompson and Barnett, Comput. Phys. Commun. 47 (1987) 245, for complex w.
+    CF2 needs about (D ln 10)^2 / (8|w|) terms for D digits on the real axis
+    and twice that on the imaginary axis.  The loop stops at D^2 terms and
+    raises ArithmeticError past that.
+    """
     a1 = ctx.mpf(1) / 4 - mu * mu
     b = 2 * (1 + w)
     d = 1 / b
@@ -239,12 +286,7 @@ def _besselk_pair(ctx, nu, w):
         dels = q * delh
         s += dels
     k0 = ctx.sqrt(ctx.pi / (2 * w)) * ctx.exp(-w) / s
-    k1 = k0 * (mu + w + ctx.mpf(1) / 2 - a1 * h) / w
-    if m == 0:
-        return k1 - (2 * mu / w) * k0, k0
-    for j in range(1, m):
-        k0, k1 = k1, k0 + (2 * (mu + j) / w) * k1
-    return k0, k1
+    return k0, k0 * (mu + ctx.mpf(1) / 2 - a1 * h + w) / w
 
 
 def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
@@ -357,10 +399,15 @@ def _eigen_condition(op: ModelOperator):
     Each end condition applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x)
     gives a pair (U_J, U_Y), and the condition is U_J(left) U_Y(right) -
     U_Y(left) U_J(right).  On the full interval the Dirichlet branch at 0
-    keeps J_nu alone, and the condition is U_J(right).  At complex mu the two
-    ends take H1 = J + iY and H2 = J - iY, and the same determinant is
-    (U_H2(left) U_H1(right) - U_H1(left) U_H2(right)) / (2i).  The end
-    conditions become float coefficients (x0, sqrt(x0), beta + 1/2) once.
+    keeps J_nu alone, and the condition is U_J(right).  At complex mu the ends
+    take J and H2 = J - iY, so Y = (J - H2)/i and the same determinant is
+    (U_H2(left) U_J(right) - U_J(left) U_H2(right)) / i.  There yv costs about
+    as much as hankel1 and hankel2 together, and hankel1 more than jv (7,680
+    points at Im mu = -1, nu = 0, 3/2 and 7/2, best of 15, scipy 1.17.1 on a
+    2-core VM: jv 2.5-4.6 ms, yv 7.4-13 ms, hankel1 3.9-7.5 ms, hankel2
+    1.5-7.5 ms).  The real axis keeps J, Y: any other basis moves the last bits
+    of the roots.  The end conditions become float coefficients (x0, sqrt(x0),
+    beta + 1/2) once.
     """
     nu = float(op.nu)
 
@@ -384,8 +431,8 @@ def _eigen_condition(op: ModelOperator):
         if left is None:
             return apply(_sp.jv, mu, *right)
         if np.iscomplexobj(mu):
-            return (apply(_sp.hankel2, mu, *left) * apply(_sp.hankel1, mu, *right)
-                    - apply(_sp.hankel1, mu, *left) * apply(_sp.hankel2, mu, *right)) / 2j
+            return (apply(_sp.hankel2, mu, *left) * apply(_sp.jv, mu, *right)
+                    - apply(_sp.jv, mu, *left) * apply(_sp.hankel2, mu, *right)) / 1j
         return (apply(_sp.jv, mu, *left) * apply(_sp.yv, mu, *right)
                 - apply(_sp.yv, mu, *left) * apply(_sp.jv, mu, *right))
     return F

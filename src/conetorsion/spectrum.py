@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from decimal import Context
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,7 +113,7 @@ class BaseManifold(namedtuple("BaseManifold", "kind n rank scale lines betti_raw
         if num.bit_length() + den.bit_length() <= 128 and len(str(self.scale)) <= 20:
             scale = str(self.scale)
         else:
-            scale = str(Context(prec=17).divide(num, den).normalize()).lower()
+            scale = _float_style(num, den)
         fields = [self.kind, str(self.n), str(self.rank), scale]
         while len(fields) > 2 and fields[-1] == "1":
             fields.pop()
@@ -121,6 +121,24 @@ class BaseManifold(namedtuple("BaseManifold", "kind n rank scale lines betti_raw
 
     def degree(self, k: int) -> DegreeData:
         return DegreeData(k, self.n)
+
+
+def _float_style(num: int, den: int) -> str:
+    """num/den > 0 rounded half-even to 17 significant digits, as Decimal prints it (1e-300).
+
+    Integer arithmetic: Decimal's own division of a million-digit den takes seconds.
+    """
+    k = 19 - math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    q, r = divmod(num * 10 ** k, den) if k >= 0 else divmod(num, den * 10 ** -k)
+    drop = len(str(q)) - 17     # q has 19 to 21 digits
+    q, tail = divmod(q, 10 ** drop)
+    half = 5 * 10 ** (drop - 1)
+    if tail > half or tail == half and (r or q % 2):
+        q += 1
+    exp = drop - k
+    while q % 10 == 0:
+        q, exp = q // 10, exp + 1
+    return str(Decimal(f"{q}e{exp}")).lower()
 
 
 def sphere(n: int, rank: int = 1) -> BaseManifold:

@@ -49,7 +49,13 @@ def check_dm_identity(rmax: int = 9):
 
 def check_wronskian(P: int = 50):
     """|z (K I' - K' I) - 1| <= 1e-40 on a 12-point grid including complex z, on the
-    Bessel pack that every determinant ratio and t(lam) reads."""
+    Bessel pack that every determinant ratio and t(lam) reads.
+
+    K -> K + alpha I keeps the identity, as it keeps every boundary determinant
+    and t(lam), a sum of their logs, so neither this suite nor detratio sees such
+    an error of the K pair; a wrong Gamma term of Temme's series makes one at
+    integer order.  The tests compare K itself with CF2 and with mpmath's besselk.
+    """
     grid = [
         (Fraction(1, 2), 1), (Fraction(1, 2), 2), (Fraction(3, 2), Fraction(1, 3)),
         (Fraction(5, 2), 5), (1, 1), (3, 2), (10, 7),

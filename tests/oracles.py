@@ -20,11 +20,11 @@ bessel_i, bessel_i_prime, bessel_k and bessel_k_prime here: mpmath's besseli
 and besselk for Re z >= 0 (the imaginary axis accepted as the boundary limit),
 each in a context of its own, with the two-sided derivative recurrences
 I' = (I_{nu-1} + I_{nu+1})/2 and K' = -(K_{nu-1} + K_{nu+1})/2, not from the
-operators module's Bessel pack (one-sided recurrences, the K pair's continued
-fraction), so the checks share no Bessel code with the routes they check.
-eigen_condition_jy is the eigencondition in the J, Y basis at every mu, the
-reference of the oracle's winding contour, which takes the Hankel basis at
-complex mu.
+operators module's Bessel pack (one-sided recurrences, the K pair from
+Temme's series and continued fraction), so the checks share no Bessel code
+with the routes they check.  eigen_condition_jy is the eigencondition in the
+J, Y basis at every mu, the reference of the oracle's winding contour, which
+takes the J, H2 basis at complex mu.
 """
 
 import math

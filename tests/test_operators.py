@@ -91,8 +91,12 @@ def _t_from_determinant_ratios(k, n, nu, eps, lam, P):
 def test_t_function_forms_agree():
     P = 40
     ctx = context(P)
-    # the nu = 5/2 cases stay below the CF2 switch; nu = 20 at lam = -1 runs CF2 at w = 20
-    for nu, lam in ((F(5, 2), -1), (F(5, 2), (-2, 1)), (F(5, 2), F(-1, 100)), (20, -1)):
+    # nu = 5/2 takes CF2, which ends at once at half-integer order; nu = 20 at lam = -1
+    # (w = 20 and 20/3), nu = 4 and nu = 2 take the series.  t is a sum of logs of boundary
+    # determinants, so like them it does not see K -> K + alpha I (a wrong Gamma term at
+    # integer order): the K-pair tests below do
+    for nu, lam in ((F(5, 2), -1), (F(5, 2), (-2, 1)), (F(5, 2), F(-1, 100)), (20, -1),
+                    (4, -1), (2, (-2, 1))):
         lam_v = ctx.mpc(*lam) if isinstance(lam, tuple) else lam
         a = t_function(0, 3, nu, F(1, 3), lam_v, P)
         b = _t_from_determinant_ratios(0, 3, nu, F(1, 3), lam_v, P)
@@ -288,14 +292,14 @@ DETRATIO_TINY_OPERATORS = WINDING_OPERATORS[:4]
 @pytest.mark.parametrize("op", HTRUNC_OPERATORS + DETRATIO_TINY_OPERATORS,
                          ids=lambda op: f"{op.variant}-{op.A}-{op.eps}")
 def test_winding_count_in_the_hankel_basis_is_the_jy_count(monkeypatch, op):
-    # the contour of eigenvalues_oracle at the htrunc and detratio counts
+    # the contour of eigenvalues_oracle, in the J, H2 basis, at the htrunc and detratio counts
     count = 320 if op.variant == "h0" else 220
     roots = np.sqrt(eigenvalues_oracle(op, count))
     lo, hi = roots[0] * 0.5, roots[-1] + 0.45 * math.pi / op.length
     samples = max(400, count * 24)
-    hankel = operators._winding_count(op, lo, hi, samples)
+    j_h2 = operators._winding_count(op, lo, hi, samples)
     monkeypatch.setattr(operators, "_eigen_condition", eigen_condition_jy)
-    assert hankel == operators._winding_count(op, lo, hi, samples) == count
+    assert j_h2 == operators._winding_count(op, lo, hi, samples) == count
 
 
 def _scan_brackets(op, count):
@@ -365,8 +369,8 @@ def test_bessel_pack_recurrence_derivatives(nu):
 
 @pytest.fixture
 def pack_counts(monkeypatch):
-    """An empty pack memo, and counts of pack lookups, K pairs and besseli calls."""
-    counts = Counter()
+    """An empty pack memo, and counts of pack lookups, K pairs, besseli and besselk calls."""
+    counts = Counter(besselk=0)
 
     def counted(name, f):
         def call(*args):
@@ -377,19 +381,21 @@ def pack_counts(monkeypatch):
     def counting_context(P):
         ctx = context(P)
         ctx.besseli = counted("besseli", ctx.besseli)
+        ctx.besselk = counted("besselk", ctx.besselk)
         return ctx
 
     monkeypatch.setattr(operators, "_PACKS", {})
     monkeypatch.setattr(operators, "_bessel_pack", counted("lookups", operators._bessel_pack))
     monkeypatch.setattr(operators, "_besselk_pair", counted("kpairs", operators._besselk_pair))
     monkeypatch.setattr(operators, "context", counting_context)
+    monkeypatch.setattr(verify, "context", counting_context)
     return counts
 
 
 def test_detratio_tiny_computes_each_pack_once(pack_counts):
     assert verify.check_det_ratios("tiny")["passed"]
     # four variants, one z, two ends: w = 3/2 at 1 and 1/2 at eps = 1/3
-    assert pack_counts == {"lookups": 8, "kpairs": 2, "besseli": 4}
+    assert pack_counts == {"lookups": 8, "kpairs": 2, "besseli": 4, "besselk": 0}
     assert len(operators._PACKS) == 2
 
 
@@ -403,19 +409,20 @@ def test_detratio_small_closed_forms_compute_each_pack_once(pack_counts):
                         det_ratio_truncated(variant, nu, A, z, eps, 40)
     # a pack depends on (nu, w = nu z x0) alone: 3 nu, and z x0 for z = 1/2, 1 and
     # x0 = 1, 1/2, 1/3, 1/4 takes 6 values, since 1/2 and 1/4 occur twice
-    assert pack_counts == {"lookups": 432, "kpairs": 18, "besseli": 36}
+    assert pack_counts == {"lookups": 432, "kpairs": 18, "besseli": 36, "besselk": 0}
 
 
 def test_largenu_computes_each_pack_once(pack_counts):
     assert verify.check_large_order_decay()["passed"]
     # t at lam = -1 for R = 1..4 and nu = 20, 40, 80: packs at w = nu and nu / 2
-    assert pack_counts == {"lookups": 24, "kpairs": 6, "besseli": 12}
+    assert pack_counts == {"lookups": 24, "kpairs": 6, "besseli": 12, "besselk": 0}
 
 
 def test_wronskian_checks_the_pack_the_ratios_read(pack_counts):
     assert verify.check_wronskian()["passed"]
     # one pack per grid point, through the K-pair kernel that det_ratio_truncated reaches
     assert pack_counts["lookups"] == 12 and pack_counts["kpairs"] == 12
+    assert pack_counts["besselk"] == 0
     assert len(operators._PACKS) == 12
 
 
@@ -476,15 +483,21 @@ def test_a_real_argument_gives_a_real_pack(monkeypatch, nu):
     P = 50
     ctx = context(P)
     nu_m = to_real(nu, ctx)
-    for x in (SWITCH / 2, SWITCH, 3 * SWITCH):     # mpmath's K pair, then CF2
+    for x in (SWITCH / 2, SWITCH, 3 * SWITCH):     # the series, then CF2
         monkeypatch.setattr(operators, "_PACKS", {})
         as_complex = operators._bessel_pack(ctx, nu_m, ctx.mpc(to_real(x, ctx), 0))
         monkeypatch.setattr(operators, "_PACKS", {})
         as_real = operators._bessel_pack(ctx, nu_m, to_real(x, ctx))
         assert all(type(v) is ctx.mpf for v in as_complex)
         assert as_complex == as_real
+
+
+# the series is least accurate just below the switch, on the real and the imaginary
+# axis and at arg pi/4 (|w| = 0.99999 SWITCH), and at |w| = 1e-30
 KPAIR_ARGUMENTS = [(F(1, 3), 0), (SWITCH - F(1, 1000), 0), (SWITCH, 0), (7, 0), (80, 0),
-                   (2500, 0), (0, 5), (0, 40), (F(1, 100), 30), (40, -25), (3, -300)]
+                   (2500, 0), (0, 5), (0, 40), (F(1, 100), 30), (40, -25), (3, -300),
+                   (0, SWITCH - F(1, 1000)), (SWITCH * F(7071, 10000), SWITCH * F(7071, 10000)),
+                   (F(1, 10 ** 30), 0)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -494,8 +507,9 @@ def _reference_k(order, arg):
     return ref.besselk(to_complex(order, ref).real, to_complex(arg, ref))
 
 
-@pytest.mark.parametrize("nu", [F(1, 10), F(1, 2), F(1), F(3, 2), F(7, 3), F(20), F(79), F(80)],
-                         ids=str)
+# nu = 1e-20: the series' Gamma difference cancels 20 digits
+@pytest.mark.parametrize("nu", [F(1, 10 ** 20), F(1, 10), F(1, 2), F(1), F(3, 2), F(7, 3), F(20),
+                                F(79), F(80)], ids=str)
 def test_besselk_pair_matches_mpmath(nu):
     for P in (50, 100):
         ctx = context(P)
@@ -505,6 +519,22 @@ def test_besselk_pair_matches_mpmath(nu):
             for value, order in zip(got, (nu - 1, nu)):
                 want = _reference_k(order, arg)
                 assert abs(value - want) <= ctx.mpf(10) ** -P * abs(want), (P, str(nu), arg)
+
+
+def test_the_two_k_pair_sources_agree_where_both_converge():
+    # K -> K + alpha I, the error a wrong Gamma term makes at integer order, passes the
+    # Wronskian suite and every determinant, and t(lam) with them; CF2, which shares no
+    # code with the series, does not have it
+    for P in (50, 100):
+        ctx = context(P)
+        for mu in (F(0), F(1, 3), F(-1, 10), F(1, 10 ** 20)):
+            mu_m = to_real(mu, ctx)
+            for w in ((8, 0), (0, 20), (SWITCH - 1, 0), (14, 14), (20, -8)):
+                w_m = to_complex(w, ctx)
+                series = operators._temme_series(ctx, mu_m, mu_m, w_m)
+                cf2 = operators._temme_cf2(ctx, mu_m, mu_m, w_m)
+                for a, b in zip(series, cf2):
+                    assert abs(a - b) <= ctx.mpf(10) ** -P * abs(b), (P, str(mu), w)
 
 
 def test_besselk_pair_guards(monkeypatch):
@@ -521,3 +551,8 @@ def test_besselk_pair_guards(monkeypatch):
     monkeypatch.setattr(operators, "_CF2_SWITCH", 0)
     with pytest.raises(ArithmeticError, match=r"nu = 20.*w = .*3600 iterations"):
         operators._besselk_pair(ctx, ctx.mpf(20), ctx.mpf(1) / 100)
+    # |w| = 1000 needs about 1400 series terms, past the cap of dps^2 = 900 at P = 20
+    monkeypatch.setattr(operators, "_CF2_SWITCH", 10 ** 6)
+    ctx = context(20)
+    with pytest.raises(ArithmeticError, match=r"nu = 20.*w = .*900 terms"):
+        operators._besselk_pair(ctx, ctx.mpf(20), ctx.mpf(1000))

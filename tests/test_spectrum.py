@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from decimal import Context
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,15 @@ def test_duality_suite_counts_each_torus_lattice_once(monkeypatch):
 def test_torus_scale():
     T = torus(3, scale=F(4))
     assert coclosed_spectrum(T, (0,), 3)[0].eta == F(4)
+
+
+@pytest.mark.parametrize("scale", [F("1e-300"), F(3, 7) * F("1e-5000"), F(1, 2 ** 20000),
+                                   F(10 ** 4301 + 1)], ids=["1e-300", "3/7e-5000", "2^-20000",
+                                                            "10^4301+1"])
+def test_a_long_scale_is_named_as_decimal_rounds_it(scale):
+    # integer rounding to 17 digits, byte for byte the Decimal division it replaced
+    decimal = Context(prec=17).divide(scale.numerator, scale.denominator).normalize()
+    assert torus(3, scale=scale).name == f"torus:3:1:{str(decimal).lower()}"
 
 
 def test_file_round_trip(tmp_path):
