@@ -116,7 +116,7 @@ def cmd_torsion(args) -> int:
         raise UsageError(f"precision must be at least {MIN_DPS} digits")
     M = _load_base(args)
     eps_list = (tuple(_fraction_in("--eps", e, 0, 1) for e in args.eps.split(","))
-                if args.eps else (Fraction(1, 2), Fraction(1, 4)))
+                if args.eps is not None else (Fraction(1, 2), Fraction(1, 4)))
     if len(set(eps_list)) < 2:
         # the audit compares the torsion difference across radii
         raise UsageError(f"--eps needs at least two distinct radii, got {args.eps}")

@@ -1,7 +1,7 @@
 """One-dimensional Bessel-type model operators of the decomposed complex.
 
-Separation of variables on the cone (0,1] x N and the cone-like cylinder
-[eps,1] x N reduces the form Laplacians to scalar operators
+Separation of variables on the truncated cone [eps,1] x N reduces the form
+Laplacians to scalar operators
 
     L = -d^2/dx^2 + (nu^2 - 1/4) / x^2,   nu = sqrt(eta + A^2),
 
@@ -16,16 +16,16 @@ g(x) = sqrt(x) C_nu(mu x) these functionals act as
 and beta + 1/2 = +-A for the four variants used here, which is why every
 closed form below carries the combinations  z C' +- A C.
 
-Variants: psi2/phi2/psi0/phi0 on [eps,1] and on the full cone (0,1], and
-h0, the harmonic sector, on [eps,1] with order nu = |A|.  end_conditions is
-the one table of their boundary conditions; the closed-form ratios and the
-eigenvalue oracle both read it.
+Variants: psi2/phi2/psi0/phi0 on [eps,1]; the harmonic sector is psi0 at
+order nu = |A|.  A ModelOperator describes one operator, and both routes
+take it: det_ratio_truncated and the eigenvalue oracle.  end_conditions is
+the one table of the boundary conditions that both read.
 
 Zeta-determinant ratios det(L + nu^2 z^2)/det(L) are 2x2 boundary
 determinants on a Bessel basis divided by their z -> 0 limit (the
 boundary-value determinant formula), not transcriptions of the equivalent
-displayed Bessel-quotient forms; the displays and the full-cone closed forms
-are the tests' cross-checks (tests/oracles.py).  A brute-force
+displayed Bessel-quotient forms; the displays, and the full-cone closed forms
+at eps -> 0, are the tests' cross-checks (tests/oracles.py).  A brute-force
 eigenvalue oracle validates both routes and the absolute harmonic-sector
 determinant 2 eps^(k - n/2): a dense sign scan, one vectorised Brent pass
 (scipy's brentq, step for step, on every bracket at once), and an
@@ -73,7 +73,7 @@ from .spectrum import DegreeData
 np = _Deferred("numpy")
 _sp = _Deferred("scipy.special")
 
-VARIANTS = ("psi2", "phi2", "psi0", "phi0", "h0")
+VARIANTS = ("psi2", "phi2", "psi0", "phi0")
 
 
 class RootIsolationError(RuntimeError):
@@ -89,45 +89,38 @@ def _inner_radius(eps) -> Fraction:
 
 
 class ModelOperator(namedtuple("ModelOperator", "variant nu A eps")):
-    """Descriptor of one scalar model operator.
+    """Descriptor of one scalar model operator on [eps,1].
 
-    variant: one of psi2/phi2/psi0/phi0/h0; nu: Bessel order (> 0 except
-    the harmonic middle degree, nu = 0); A: the degree shift entering the
-    Robin coefficients; eps: left endpoint of [eps,1], or None for the full
-    interval (0,1] with the admissible-branch condition at 0.
+    variant: one of psi2/phi2/psi0/phi0; nu: the Bessel order, exact (an int
+    or a Fraction), > 0 except the harmonic middle degree, nu = 0; A: the
+    degree shift entering the Robin coefficients; eps: the left endpoint, in
+    (0,1), kept as a Fraction.
     """
 
     __slots__ = ()
 
-    def __new__(cls, variant: str, nu: float, A: Fraction, eps: Fraction | None = None):
+    def __new__(cls, variant: str, nu: int | Fraction, A: Fraction, eps: Fraction):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if eps is not None:
-            _inner_radius(eps)
         if nu < 0:
             raise DomainError("order nu must be nonnegative")
-        return tuple.__new__(cls, (variant, nu, A, eps))
+        return tuple.__new__(cls, (variant, nu, A, _inner_radius(eps)))
 
     @property
     def length(self) -> float:
-        return 1.0 - float(self.eps) if self.eps is not None else 1.0
+        return 1 - float(self.eps)
 
 
-def end_conditions(variant: str, A, eps=None):
-    """((side, kind, beta), (side, kind, beta)) at the left and the right end.
-
-    side is '0', 'eps' or '1'; the left end is '0' on the full interval
-    (eps None).  Kinds: 'D' Dirichlet, 'N' the Robin functional with
-    coefficient beta, 'D0' the admissible-branch condition at the cone tip,
-    which keeps the x^(nu+1/2) solution.
+def end_conditions(variant: str, A):
+    """((side, kind, beta), (side, kind, beta)) at the left end, side 'eps', and
+    the right end, side '1'.  Kinds: 'D' Dirichlet, 'N' the Robin functional
+    with coefficient beta.
     """
     A = Fraction(A)
-    beta = {"psi2": A, "phi2": -A, "psi0": -A, "phi0": A, "h0": -A}[variant] - Fraction(1, 2)
+    beta = {"psi2": A, "phi2": -A, "psi0": -A, "phi0": A}[variant] - Fraction(1, 2)
     if variant in ("psi2", "phi2"):
-        left, right = ("eps", "D", None), ("1", "N", beta)
-    else:
-        left, right = ("eps", "N", beta), ("1", "D", None)
-    return (("0", "D0", None) if eps is None else left), right
+        return ("eps", "D", None), ("1", "N", beta)
+    return ("eps", "N", beta), ("1", "D", None)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +282,8 @@ def _temme_cf2(ctx, nu, mu, w):
     return k0, k0 * (mu + ctx.mpf(1) / 2 - a1 * h + w) / w
 
 
-def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
-    """det(L + nu^2 z^2)/det(L) on [eps,1] as a quotient of boundary determinants.
+def det_ratio_truncated(op: ModelOperator, z, P: int = DEFAULT_DPS):
+    """det(L + nu^2 z^2)/det(L) of op as a quotient of boundary determinants.
 
     For a two-point boundary problem the ratio is the 2x2 determinant of the
     end conditions on a solution basis of Wronskian -1, divided by its z -> 0
@@ -298,19 +291,16 @@ def det_ratio_truncated(variant: str, nu, A, z, eps, P: int = DEFAULT_DPS):
     The numerator takes the basis sqrt(x) I_nu(w x), sqrt(x) K_nu(w x) with
     w = nu z, the denominator sqrt(x) x^(+-nu) with the determinant over 2 nu.
     """
-    if variant not in ("psi2", "phi2", "psi0", "phi0"):
-        raise ValueError("truncated ratios exist for psi2/phi2/psi0/phi0")
     ctx = context(P)
-    eps_f = _inner_radius(eps)
-    nu_m = to_real(nu, ctx)
+    nu_m = to_real(op.nu, ctx)
     if nu_m <= 0:
         raise DomainError("truncated quotients require nu > 0")
     if z == 0:
         return ctx.mpf(1)
     w = nu_m * to_complex(z, ctx)
     rows = []
-    for side, kind, beta in end_conditions(variant, A, eps_f):
-        x0 = to_real(eps_f, ctx) if side == "eps" else ctx.mpf(1)
+    for side, kind, beta in end_conditions(op.variant, op.A):
+        x0 = to_real(op.eps, ctx) if side == "eps" else ctx.mpf(1)
         I, Ip, K, Kp = _bessel_pack(ctx, nu_m, w * x0)
         p = x0 ** nu_m
         # (C, t C'(t)) at t = w x0 for I_nu and K_nu, at t = x0 for t^nu and t^-nu
@@ -362,14 +352,12 @@ def t_function(k: int, n: int, nu, eps, lam, P: int = DEFAULT_DPS):
     return t.real if t.imag == 0 else t
 
 
-def ab_coefficients(k: int, n: int, nu, eps, P: int = DEFAULT_DPS):
-    """(a, b) of the large-argument law t ~ a log(-lam) + b: a = 1 and
-    b = 2 log eps - log(1 - A^2/nu^2)."""
+def large_argument_constant(k: int, n: int, nu, eps, P: int = DEFAULT_DPS):
+    """b of the large-argument law t ~ log(-lam) + b: b = 2 log eps - log(1 - A^2/nu^2)."""
     ctx = context(P)
     nu_m = to_real(nu, ctx)
     A_m = to_real(DegreeData(k, n).A, ctx)
-    b = 2 * ctx.log(to_real(Fraction(eps), ctx)) - ctx.log(1 - A_m ** 2 / nu_m ** 2)
-    return ctx.mpf(1), b
+    return 2 * ctx.log(to_real(Fraction(eps), ctx)) - ctx.log(1 - A_m ** 2 / nu_m ** 2)
 
 
 def h_det(k: int, n: int, eps, P: int = DEFAULT_DPS):
@@ -384,9 +372,9 @@ def h_det(k: int, n: int, eps, P: int = DEFAULT_DPS):
 
 
 def harmonic_operator(k: int, n: int, eps) -> ModelOperator:
-    """The degree-k harmonic-sector operator on [eps,1] (order |A_k|, mixed bc)."""
+    """The degree-k harmonic-sector operator on [eps,1]: psi0 at order |A_k|."""
     A = DegreeData(k, n).A
-    return ModelOperator("h0", float(abs(A)), A, Fraction(eps))
+    return ModelOperator("psi0", abs(A), A, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +386,7 @@ def _eigen_condition(op: ModelOperator):
 
     Each end condition applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x)
     gives a pair (U_J, U_Y), and the condition is U_J(left) U_Y(right) -
-    U_Y(left) U_J(right).  On the full interval the Dirichlet branch at 0
-    keeps J_nu alone, and the condition is U_J(right).  At complex mu the ends
+    U_Y(left) U_J(right).  At complex mu the ends
     take J and H2 = J - iY, so Y = (J - H2)/i and the same determinant is
     (U_H2(left) U_J(right) - U_J(left) U_H2(right)) / i.  There yv costs about
     as much as hankel1 and hankel2 together, and hankel1 more than jv (7,680
@@ -412,12 +399,10 @@ def _eigen_condition(op: ModelOperator):
     nu = float(op.nu)
 
     def coefficients(side, kind, beta):
-        if side == "0":
-            return None
         x0 = float(op.eps) if side == "eps" else 1.0
         return x0, math.sqrt(x0), None if kind == "D" else float(Fraction(beta) + Fraction(1, 2))
 
-    left, right = (coefficients(*cond) for cond in end_conditions(op.variant, op.A, op.eps))
+    left, right = (coefficients(*cond) for cond in end_conditions(op.variant, op.A))
 
     def apply(C, mu, x0, root, shift):
         w = mu * x0
@@ -428,8 +413,6 @@ def _eigen_condition(op: ModelOperator):
         return (w * C(nu - 1, w) + (shift - nu) * c) / root
 
     def F(mu):
-        if left is None:
-            return apply(_sp.jv, mu, *right)
         if np.iscomplexobj(mu):
             return (apply(_sp.hankel2, mu, *left) * apply(_sp.jv, mu, *right)
                     - apply(_sp.jv, mu, *left) * apply(_sp.hankel2, mu, *right)) / 1j
@@ -516,9 +499,8 @@ def eigenvalues_oracle(op: ModelOperator, count: int):
 
     Dense sign scan at roughly twelve samples per expected spacing, one
     vectorised Brent pass refining the first count + 2 brackets together,
-    strict-interlacing check, and (for the two-endpoint case) an
-    argument-principle winding count on the conjugate-symmetric contour
-    certifying that no root was missed.
+    strict-interlacing check, and an argument-principle winding count on the
+    conjugate-symmetric contour certifying that no root was missed.
     """
     if count > 500:
         raise ValueError("oracle supports count <= 500")
@@ -540,13 +522,12 @@ def eigenvalues_oracle(op: ModelOperator, count: int):
     diffs = np.diff(roots)
     if np.any(diffs <= 0):
         raise RootIsolationError("eigenvalues failed strict interlacing")
-    if op.eps is not None:
-        lo, hi = roots[0] * 0.5, roots[-1] + 0.45 * spacing
-        w = _winding_count(op, lo, hi, samples=max(400, count * 24))
-        if w != count:
-            raise RootIsolationError(
-                f"argument-principle count {w} disagrees with {count} bracketed roots "
-                f"on [{lo:.3f}, {hi:.3f}]")
+    lo, hi = roots[0] * 0.5, roots[-1] + 0.45 * spacing
+    w = _winding_count(op, lo, hi, samples=max(400, count * 24))
+    if w != count:
+        raise RootIsolationError(
+            f"argument-principle count {w} disagrees with {count} bracketed roots "
+            f"on [{lo:.3f}, {hi:.3f}]")
     return [r * r for r in roots]
 
 

@@ -95,14 +95,14 @@ def check_det_ratios(grid: str = "small", P: int = 40):
     g = DETRATIO_GRID[grid]
     worst = 0.0
     worst_at = None
-    for variant in ("psi2", "phi2", "psi0", "phi0"):
+    for variant in operators.VARIANTS:
         for nu in g["nu"]:
             for A in g["A"]:
                 for eps in g["eps"]:
-                    op = operators.ModelOperator(variant, float(nu), A, eps)
+                    op = operators.ModelOperator(variant, nu, A, eps)
                     lam = operators.eigenvalues_oracle(op, g["count"])
                     for z in g["z"]:
-                        closed = operators.det_ratio_truncated(variant, nu, A, z, eps, P)
+                        closed = operators.det_ratio_truncated(op, z, P)
                         oracle = operators.det_ratio_oracle(op, float(z), lam)
                         gap = abs(float(closed) - oracle) / abs(float(closed))
                         if gap > worst:
@@ -156,7 +156,7 @@ def check_large_argument_slope(P: int = 50):
     """log-log slope of |t - log(-lam) - b| on lam in -[1e2, 1e6] is -1/2 +- 0.1."""
     k, n, nu, eps = 0, 3, Fraction(5, 2), Fraction(1, 3)
     ctx = context(P)
-    _a, b = operators.ab_coefficients(k, n, nu, eps, P)
+    b = operators.large_argument_constant(k, n, nu, eps, P)
     xs, ys = [], []
     for e in range(2, 7):
         lam = -(10 ** e)

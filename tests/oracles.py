@@ -1,8 +1,10 @@
 """Test-only oracles: closed forms that no CLI command reaches.
 
 The tests compare the package's routes against them: the full-cone
-determinant ratios and the displayed Bessel-quotient forms of the truncated
-ratios check operators.det_ratio_truncated and t_function, zeta_shifted
+determinant ratios on (0,1], which the truncated ratios tend to as eps -> 0
+(the operators module has no (0,1] mode, and its harmonic sector is psi0 at
+order |A|), and the displayed Bessel-quotient forms of the truncated ratios
+check operators.det_ratio_truncated and t_function, zeta_shifted
 evaluates the Hurwitz combination of the sphere zeta functions with mpmath's
 Hurwitz zeta at any s, zeta_ccl_at_zero_hurwitz and
 residual_inner_sum_digamma are the routes the integer-shift reduction and
@@ -168,18 +170,16 @@ def eigen_condition_jy(op):
 
     Each end condition applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x)
     gives a pair (U_J, U_Y), and the condition is U_J(left) U_Y(right) -
-    U_Y(left) U_J(right); on the full interval it is U_J(right).
+    U_Y(left) U_J(right).
     """
     import scipy.special as sp
     nu = float(op.nu)
 
     def coefficients(side, kind, beta):
-        if side == "0":
-            return None
         x0 = float(op.eps) if side == "eps" else 1.0
         return x0, math.sqrt(x0), None if kind == "D" else float(Fraction(beta) + Fraction(1, 2))
 
-    left, right = (coefficients(*cond) for cond in end_conditions(op.variant, op.A, op.eps))
+    left, right = (coefficients(*cond) for cond in end_conditions(op.variant, op.A))
 
     def apply(C, mu, x0, root, shift):
         w = mu * x0
@@ -190,8 +190,6 @@ def eigen_condition_jy(op):
         return (w * C(nu - 1, w) + (shift - nu) * c) / root
 
     def F(mu):
-        if left is None:
-            return apply(sp.jv, mu, *right)
         return (apply(sp.jv, mu, *left) * apply(sp.yv, mu, *right)
                 - apply(sp.yv, mu, *left) * apply(sp.jv, mu, *right))
     return F

@@ -85,7 +85,7 @@ ORACLE_CALL = """
 import json, sys
 from fractions import Fraction
 from conetorsion.operators import ModelOperator, eigenvalues_oracle
-lam = eigenvalues_oracle(ModelOperator("psi2", 0.5, Fraction(1, 2), Fraction(1, 2)), 6)
+lam = eigenvalues_oracle(ModelOperator("psi2", Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), 6)
 print(json.dumps({"lam": lam, "loaded": sorted({"numpy", "scipy"} & set(sys.modules)),
                   "optimize": "scipy.optimize" in sys.modules}))
 """
@@ -98,7 +98,7 @@ def test_an_oracle_loads_numpy_and_scipy_on_first_use():
     # order 1/2: sin(mu (x - 1/2)) with f'(1) = 0, so mu = (2i - 1) pi
     assert all(abs(lam / ((2 * i - 1) * math.pi) ** 2 - 1) < 1e-14
                for i, lam in enumerate(out["lam"], 1))
-    op = ModelOperator("psi2", 0.5, Fraction(1, 2), Fraction(1, 2))
+    op = ModelOperator("psi2", Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     assert out["lam"] == eigenvalues_oracle(op, 6)
 
 
@@ -364,6 +364,8 @@ def test_scaling_suite_reports_an_odd_scale_power(monkeypatch, capsys):
     # more sphere lines than the line budget allows
     ("spectrum", "--base", "sphere:3", "--cutoff", "1e400"),
     ("spectrum", "--base", "sphere:7", "--cutoff", "1e6"),
+    # an empty radius list is malformed, not absent
+    ("torsion", "--base", "sphere:3", "--eps", ""),
 ])
 def test_malformed_numbers_are_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

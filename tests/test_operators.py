@@ -4,6 +4,7 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,13 +14,13 @@ from conetorsion import operators, verify
 from conetorsion.operators import (
     ModelOperator,
     RootIsolationError,
-    ab_coefficients,
     det_ratio_oracle,
     det_ratio_truncated,
     eigenvalues_oracle,
     end_conditions,
     h_det,
     harmonic_operator,
+    large_argument_constant,
     t_function,
     zeta_det_oracle,
 )
@@ -33,8 +34,8 @@ def test_small_z_limit_matches_closed_form():
     # the Bessel determinant tends to the power-basis one over 2 nu
     P = 60
     ctx = context(P)
-    for variant in ("psi2", "phi2", "psi0", "phi0"):
-        small = det_ratio_truncated(variant, F(3, 2), 1, ctx.mpf("1e-14"), F(1, 2), P)
+    for variant in operators.VARIANTS:
+        small = det_ratio_truncated(ModelOperator(variant, F(3, 2), 1, F(1, 2)), ctx.mpf("1e-14"), P)
         assert abs(small - 1) < ctx.mpf("1e-25"), variant
 
 
@@ -51,7 +52,7 @@ def test_full_cone_ratios_small_z_and_psi0_phi0_equal():
     assert abs(v - 1) < ctx.mpf("1e-14")
 
 
-@pytest.mark.parametrize("variant", ["psi2", "phi2", "psi0", "phi0"])
+@pytest.mark.parametrize("variant", operators.VARIANTS)
 def test_truncated_ratio_matches_displayed_form(variant):
     P = 50
     ctx = context(P)
@@ -59,17 +60,32 @@ def test_truncated_ratio_matches_displayed_form(variant):
                           (F(5, 2), F(1), F(1, 2), F(1, 2)),
                           (2, 0, F(1, 4), 2),
                           (20, F(1), F(1, 2), 1)):     # integer order, K pair from CF2
-        quotient = det_ratio_truncated(variant, nu, A, z, eps, P)
+        quotient = det_ratio_truncated(ModelOperator(variant, nu, A, eps), z, P)
         displayed = det_ratio_truncated_displayed(variant, nu, A, z, eps, P)
         assert abs(quotient - displayed) < ctx.mpf(10) ** -40 * abs(displayed)
 
 
+# the full-cone closed forms read mpmath's besseli alone, not the Bessel pack; the gap falls
+# like eps^2: 4.7e-19 at eps = 1e-10, 1.4e-58 at 1e-30 and 5.6e-61 at 1e-40
+FULL_CONE_POINTS = [(F(3, 2), F(1), F(1, 2)), (F(3, 2), F(1), 2), (1, 0, 2), (F(5, 2), F(1, 2), 1),
+                    (20, F(1), 1)]
+
+
+def test_truncated_ratio_tends_to_the_full_cone_closed_form():
+    P = 50
+    ctx = context(P)
+    for variant in operators.VARIANTS:
+        for nu, A, z in FULL_CONE_POINTS:
+            truncated = det_ratio_truncated(ModelOperator(variant, nu, A, F(1, 10 ** 40)), z, P)
+            full = det_ratio_full_cone(variant, nu, A, z, P)
+            assert abs(truncated - full) <= ctx.mpf(10) ** -58 * abs(full), (variant, nu, A, z)
+
+
 def test_truncated_ratio_guards():
-    assert det_ratio_truncated("psi2", F(3, 2), F(1), 0, F(1, 3), 30) == 1
+    assert det_ratio_truncated(ModelOperator("psi2", F(3, 2), F(1), F(1, 3)), 0, 30) == 1
+    # the harmonic middle degree has order 0, where the power basis x^(+-nu) degenerates
     with pytest.raises(DomainError):
-        det_ratio_truncated("psi2", F(3, 2), F(1), 1, F(1), 30)  # empty interval
-    with pytest.raises(DomainError):
-        det_ratio_truncated("psi2", F(3, 2), F(1), 1, F(3, 2), 30)
+        det_ratio_truncated(harmonic_operator(1, 3, F(1, 2)), 1, 30)
 
 
 def _t_from_determinant_ratios(k, n, nu, eps, lam, P):
@@ -77,10 +93,10 @@ def _t_from_determinant_ratios(k, n, nu, eps, lam, P):
     ctx = context(P)
     A = F(n - 1, 2) - k
     z = ctx.sqrt(-to_complex(lam, ctx))
-    t = -ctx.log(det_ratio_truncated("psi2", nu, A, z, eps, P))
-    t -= ctx.log(det_ratio_truncated("phi2", nu, A, z, eps, P))
-    t += ctx.log(det_ratio_truncated("psi0", nu, A, z, eps, P))
-    t += ctx.log(det_ratio_truncated("phi0", nu, A, z, eps, P))
+    t = -ctx.log(det_ratio_truncated(ModelOperator("psi2", nu, A, eps), z, P))
+    t -= ctx.log(det_ratio_truncated(ModelOperator("phi2", nu, A, eps), z, P))
+    t += ctx.log(det_ratio_truncated(ModelOperator("psi0", nu, A, eps), z, P))
+    t += ctx.log(det_ratio_truncated(ModelOperator("phi0", nu, A, eps), z, P))
     t += ctx.log(det_ratio_full_cone("psi2", nu, A, z, P))
     t += ctx.log(det_ratio_full_cone("phi2", nu, A, z, P))
     t -= ctx.log(det_ratio_full_cone("psi0", nu, A, z, P))
@@ -125,8 +141,7 @@ def test_ab_large_argument_constant():
     P = 40
     ctx = context(P)
     k, n, nu, eps = 0, 3, F(5, 2), F(1, 3)
-    a, b = ab_coefficients(k, n, nu, eps, P)
-    assert a == 1
+    b = large_argument_constant(k, n, nu, eps, P)
     resid = [abs(t_function(k, n, nu, eps, -(10 ** e), P) - ctx.log(10 ** e) - b)
              for e in (3, 5)]
     # O((-lam)^(-1/2)) decay of the residual
@@ -135,7 +150,7 @@ def test_ab_large_argument_constant():
 
 def test_eigenvalues_oracle_harmonic_dirichlet():
     # Dirichlet at eps and the Robin condition N(3/2) at 1 (psi2 with A = 2)
-    op = ModelOperator("psi2", 1.0, F(2), F(1, 3))
+    op = ModelOperator("psi2", 1, F(2), F(1, 3))
     lam = eigenvalues_oracle(op, 120)
     assert all(l2 > l1 for l1, l2 in zip(lam, lam[1:]))
     # Weyl law within 5 percent by i = 100
@@ -144,25 +159,9 @@ def test_eigenvalues_oracle_harmonic_dirichlet():
     assert abs(lam[i - 1] / want - 1) < 0.05
 
 
-def test_eigenvalues_oracle_full_cone_bessel_zeros():
-    import scipy.special as sp
-    op = ModelOperator("psi0", 2.0, F(0), None)  # Dirichlet branch: zeros of J_2
-    lam = eigenvalues_oracle(op, 10)
-    zeros = sp.jn_zeros(2, 10)
-    assert np.allclose(np.sqrt(lam), zeros, rtol=1e-10)
-
-
-def test_det_ratio_oracle_full_cone_example():
-    P = 40
-    op = ModelOperator("psi2", 1.0, F(0), None)
-    closed = det_ratio_full_cone("psi2", 1, 0, 2, P)
-    oracle = det_ratio_oracle(op, 2.0, eigenvalues_oracle(op, 240))
-    assert abs(float(closed) - oracle) / abs(float(closed)) < 1e-6
-
-
 def test_det_ratio_oracle_truncated_example():
-    op = ModelOperator("psi2", 1.5, F(1, 2), F(1, 3))
-    closed = det_ratio_truncated("psi2", F(3, 2), F(1, 2), 1, F(1, 3), 40)
+    op = ModelOperator("psi2", F(3, 2), F(1, 2), F(1, 3))
+    closed = det_ratio_truncated(op, 1, 40)
     oracle = det_ratio_oracle(op, 1.0, eigenvalues_oracle(op, 240))
     assert abs(float(closed) - oracle) / abs(float(closed)) < 1e-6
 
@@ -193,7 +192,7 @@ def test_h_det_log_derivative_in_eps():
 
 def test_zeta_det_oracle_free_dirichlet_normalization():
     # exact free eigenvalues mu_i = pi i / L: the determinant must be 2L
-    op = ModelOperator("psi2", 0.5, F(0), F(1, 3))
+    op = ModelOperator("psi2", F(1, 2), F(0), F(1, 3))
     L = 2.0 / 3.0
     eigs = [(math.pi * i / L) ** 2 for i in range(1, 301)]
     det = zeta_det_oracle(op, eigs)
@@ -227,40 +226,46 @@ def test_largenu_orders_ignore_the_global_mpmath_precision(monkeypatch):
 
 def test_oracle_count_guard():
     with pytest.raises(ValueError):
-        eigenvalues_oracle(ModelOperator("h0", 1.0, F(1), F(1, 2)), 10000)
+        eigenvalues_oracle(ModelOperator("psi0", 1, F(1), F(1, 2)), 10000)
 
 
 def test_boundary_condition_table():
-    op = ModelOperator("psi2", 1.5, F(1), F(1, 2))
-    (left, right) = end_conditions(op.variant, op.A, op.eps)
+    (left, right) = end_conditions("psi2", F(1))
     assert left == ("eps", "D", None)
     assert right == ("1", "N", F(1, 2))  # beta = A - 1/2
-    op0 = ModelOperator("psi0", 1.5, F(1), F(1, 2))
-    assert end_conditions(op0.variant, op0.A, op0.eps)[0] == ("eps", "N", F(-3, 2))  # beta = -A - 1/2
+    assert end_conditions("psi0", F(1))[0] == ("eps", "N", F(-3, 2))  # beta = -A - 1/2
+    # the harmonic sector is psi0 at order |A|
+    assert harmonic_operator(0, 3, F(1, 2)) == ModelOperator("psi0", 1, F(1), F(1, 2))
 
 
 def _two_sided_condition(op, mu):
     """The eigencondition at one mu with derivatives from scipy's jvp/yvp."""
     import scipy.special as sp
     values = []
-    for side, kind, beta in end_conditions(op.variant, op.A, op.eps):
+    nu = float(op.nu)
+    for side, kind, beta in end_conditions(op.variant, op.A):
         x0 = float(op.eps) if side == "eps" else 1.0
         for C, Cp in ((sp.jv, sp.jvp), (sp.yv, sp.yvp)):
-            c = C(op.nu, mu * x0)
+            c = C(nu, mu * x0)
             if kind == "D":
                 values.append(math.sqrt(x0) * c)
             else:
                 shift = float(beta + F(1, 2))
-                values.append((mu * x0 * Cp(op.nu, mu * x0) + shift * c) / math.sqrt(x0))
+                values.append((mu * x0 * Cp(nu, mu * x0) + shift * c) / math.sqrt(x0))
     ULJ, ULY, URJ, URY = values
     return ULJ * URY - ULY * URJ
 
 
-WINDING_OPERATORS = [ModelOperator(v, 1.5, F(1, 2), F(1, 3)) for v in ("psi2", "phi2", "psi0", "phi0")]
+def _label(op):
+    """The variant, or h0 for the harmonic sector: psi0 at order |A|."""
+    return "h0" if op.variant == "psi0" and op.nu == abs(op.A) else op.variant
+
+
+WINDING_OPERATORS = [ModelOperator(v, F(3, 2), F(1, 2), F(1, 3)) for v in operators.VARIANTS]
 WINDING_OPERATORS.append(harmonic_operator(0, 3, F(1, 2)))
 
 
-@pytest.mark.parametrize("op", WINDING_OPERATORS, ids=lambda op: op.variant)
+@pytest.mark.parametrize("op", WINDING_OPERATORS, ids=_label)
 def test_winding_count_certifies_bracketed_roots(op):
     count = 220
     roots = np.sqrt(eigenvalues_oracle(op, count + 5))
@@ -290,10 +295,10 @@ DETRATIO_TINY_OPERATORS = WINDING_OPERATORS[:4]
 
 
 @pytest.mark.parametrize("op", HTRUNC_OPERATORS + DETRATIO_TINY_OPERATORS,
-                         ids=lambda op: f"{op.variant}-{op.A}-{op.eps}")
+                         ids=lambda op: f"{_label(op)}-{op.A}-{op.eps}")
 def test_winding_count_in_the_hankel_basis_is_the_jy_count(monkeypatch, op):
     # the contour of eigenvalues_oracle, in the J, H2 basis, at the htrunc and detratio counts
-    count = 320 if op.variant == "h0" else 220
+    count = 320 if op in HTRUNC_OPERATORS else 220
     roots = np.sqrt(eigenvalues_oracle(op, count))
     lo, hi = roots[0] * 0.5, roots[-1] + 0.45 * math.pi / op.length
     samples = max(400, count * 24)
@@ -306,7 +311,7 @@ def _scan_brackets(op, count):
     """The sign-change brackets of the oracle's scan and F at their ends."""
     F_op = operators._eigen_condition(op)
     spacing = math.pi / op.length
-    grid = np.linspace(spacing * 1e-3, spacing * (count + 3) + 2.0 * op.nu + 10.0,
+    grid = np.linspace(spacing * 1e-3, spacing * (count + 3) + 2.0 * float(op.nu) + 10.0,
                        (count + 5) * 16 + 200)
     vals = F_op(grid)
     idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][:count + 2]
@@ -319,7 +324,7 @@ def _brentq(F_op, xa, xb):
     return [brentq(F_op, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=200) for a, b in zip(xa, xb)]
 
 
-@pytest.mark.parametrize("op", BRENT_OPERATORS, ids=lambda op: f"{op.variant}-{op.A}-{op.eps}")
+@pytest.mark.parametrize("op", BRENT_OPERATORS, ids=lambda op: f"{_label(op)}-{op.A}-{op.eps}")
 def test_brent_pass_matches_scipy_brentq(op):
     count = 320
     F_op, xa, xb, fa, fb = _scan_brackets(op, count)
@@ -401,12 +406,12 @@ def test_detratio_tiny_computes_each_pack_once(pack_counts):
 
 def test_detratio_small_closed_forms_compute_each_pack_once(pack_counts):
     g = verify.DETRATIO_GRID["small"]
-    for variant in ("psi2", "phi2", "psi0", "phi0"):
+    for variant in operators.VARIANTS:
         for nu in g["nu"]:
             for A in g["A"]:
                 for eps in g["eps"]:
                     for z in g["z"]:
-                        det_ratio_truncated(variant, nu, A, z, eps, 40)
+                        det_ratio_truncated(ModelOperator(variant, nu, A, eps), z, 40)
     # a pack depends on (nu, w = nu z x0) alone: 3 nu, and z x0 for z = 1/2, 1 and
     # x0 = 1, 1/2, 1/3, 1/4 takes 6 values, since 1/2 and 1/4 occur twice
     assert pack_counts == {"lookups": 432, "kpairs": 18, "besseli": 36, "besselk": 0}
@@ -500,25 +505,61 @@ KPAIR_ARGUMENTS = [(F(1, 3), 0), (SWITCH - F(1, 1000), 0), (SWITCH, 0), (7, 0), 
                    (F(1, 10 ** 30), 0)]
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_k(order, arg):
+# nu = 1e-20: the series' Gamma difference cancels 20 digits
+KPAIR_NUS = [F(1, 10 ** 20), F(1, 10), F(1, 2), F(1), F(3, 2), F(7, 3), F(20), F(79), F(80)]
+KPAIR_ORDERS = sorted({order for nu in KPAIR_NUS for order in (nu - 1, nu)})
+# written by make_kpair_references.py: mpmath's besselk at the integer orders costs 46 s
+K_REFERENCES = Path(__file__).with_name("kpair_references.txt")
+
+
+def reference_k(order, arg):
     """mpmath's K_order(arg) at 120 digits: 2P at P = 50 and P + 20 at P = 100."""
     ref = context(110)
     return ref.besselk(to_complex(order, ref).real, to_complex(arg, ref))
 
 
-# nu = 1e-20: the series' Gamma difference cancels 20 digits
-@pytest.mark.parametrize("nu", [F(1, 10 ** 20), F(1, 10), F(1, 2), F(1), F(3, 2), F(7, 3), F(20),
-                                F(79), F(80)], ids=str)
+def reference_key(order, arg):
+    """(order, Re arg, Im arg) as the reference file writes them."""
+    return tuple(str(F(x)) for x in (order, *arg))
+
+
+@functools.lru_cache(maxsize=None)
+def _k_references():
+    """The reference file's K_order(arg) by reference_key, as 120-digit values."""
+    ref = context(110)
+    table = {}
+    for line in K_REFERENCES.read_text().splitlines():
+        if not line.startswith("#"):
+            *key, re, im = line.split()
+            table[tuple(key)] = ref.mpc(re, im)
+    return table
+
+
+@pytest.mark.parametrize("nu", KPAIR_NUS, ids=str)
 def test_besselk_pair_matches_mpmath(nu):
+    references = _k_references()
     for P in (50, 100):
         ctx = context(P)
         nu_m = to_complex(nu, ctx).real
         for arg in KPAIR_ARGUMENTS:
             got = operators._besselk_pair(ctx, nu_m, to_complex(arg, ctx))
             for value, order in zip(got, (nu - 1, nu)):
-                want = _reference_k(order, arg)
+                want = references[reference_key(order, arg)]
                 assert abs(value - want) <= ctx.mpf(10) ** -P * abs(want), (P, str(nu), arg)
+
+
+def test_the_k_references_are_mpmath_besselk():
+    # every order and argument of the K-pair test has its line; the non-integer orders,
+    # 2 s of mpmath's besselk, are computed again here
+    references = _k_references()
+    assert sorted(references) == sorted(reference_key(order, arg) for order in KPAIR_ORDERS
+                                        for arg in KPAIR_ARGUMENTS)
+    ref = context(110)
+    for order in KPAIR_ORDERS:
+        if order.denominator > 1:
+            for arg in KPAIR_ARGUMENTS:
+                want = references[reference_key(order, arg)]
+                assert abs(reference_k(order, arg) - want) <= ref.mpf(10) ** -118 * abs(want)
 
 
 def test_the_two_k_pair_sources_agree_where_both_converge():

@@ -25,7 +25,7 @@ def _values():
         (SpectralLine(0, F(1), 6), "eta"),
         (DegreeData(1, 3), "k"),
         (sphere(3), "rank"),
-        (ModelOperator("psi2", 1.5, F(1, 2), F(1, 3)), "eps"),
+        (ModelOperator("psi2", F(3, 2), F(1, 2), F(1, 3)), "eps"),
         (cm, "scale"),
         (berezin.b_class(cm), "coefficient"),
         (torsion.torsion_breakdown(sphere(1), 30), "total"),
@@ -42,12 +42,12 @@ def test_fields_cannot_be_assigned(value, field):
 
 
 def test_equality_and_hash_go_by_value():
-    op = ModelOperator("psi2", 1.5, F(1, 2), F(1, 3))
-    twin = ModelOperator("psi2", 1.5, F(1, 2), F(1, 3))
+    op = ModelOperator("psi2", F(3, 2), F(1, 2), F(1, 3))
+    twin = ModelOperator("psi2", F(3, 2), F(1, 2), F(1, 3))
     assert op == twin and hash(op) == hash(twin)
     # verify.check_harmonic_determinants keys its oracle values by operator
     assert {op: 1}[twin] == 1
-    assert op != ModelOperator("psi2", 1.5, F(1, 2), F(1, 4))
+    assert op != ModelOperator("psi2", F(3, 2), F(1, 2), F(1, 4))
     assert sphere(3) == BaseManifold("sphere", 3) and hash(sphere(3)) == hash(BaseManifold("sphere", 3))
     assert sphere(3) != sphere(3, 2) and torus(3) != torus(3, 1, F(4))
     assert len({SpectralLine(0, F(1), 6), SpectralLine(0, F(1), 6), SpectralLine(0, F(2), 6)}) == 2
@@ -60,8 +60,10 @@ def test_keyword_construction_and_defaults():
     M = BaseManifold(kind="torus", n=3)
     assert (M.rank, M.scale, M.lines, M.betti_raw, M.label) == (1, F(1), (), (), "")
     assert M == torus(3) and M.name == "torus:3"
-    op = ModelOperator(variant="h0", nu=0.0, A=F(1))
-    assert op.eps is None and op.length == 1.0
+    op = ModelOperator(variant="psi0", nu=0, A=F(0), eps=F(1, 4))
+    assert op.eps == F(1, 4) and op.length == 0.75
+    with pytest.raises(TypeError):  # no operator without an inner radius
+        ModelOperator(variant="psi0", nu=0, A=F(0))
     assert CollarMetric(n=3, kappa=F(1), fprime0=F(-2)).scale == 1
     line = SpectralLine(k=1, eta=F(3), mult=4)
     assert (line.k, line.eta, line.mult) == (1, F(3), 4)
@@ -76,11 +78,13 @@ def test_keyword_construction_and_defaults():
     ({"eps": F(1)}, DomainError),
     ({"eps": F(-1, 2)}, DomainError),
     ({"eps": F(3, 2)}, DomainError),
-    ({"nu": -0.5}, DomainError),
+    ({"nu": F(-1, 2)}, DomainError),
+    # the harmonic sector is psi0 at order |A|, not a variant of its own
+    ({"variant": "h0"}, ValueError),
 ])
 def test_model_operator_checks(kwargs, error):
     with pytest.raises(error):
-        ModelOperator(**{"variant": "psi2", "nu": 1.5, "A": F(1, 2), "eps": F(1, 3), **kwargs})
+        ModelOperator(**{"variant": "psi2", "nu": F(3, 2), "A": F(1, 2), "eps": F(1, 3), **kwargs})
 
 
 @pytest.mark.parametrize("kwargs", [{"n": 2}, {"n": 0}, {"n": -1}, {"scale": F(0)}, {"scale": F(-1)}])
