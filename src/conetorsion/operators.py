@@ -31,11 +31,13 @@ determinant 2 eps^(k - n/2): a dense sign scan, one vectorised Brent pass
 (scipy's brentq, step for step, on every bracket at once), and an
 argument-principle count on a contour symmetric under conjugation, so F is
 evaluated on its lower half only.  The scan and the Brent pass take F in the
-J, Y basis, the contour in the J, H2 basis (_eigen_condition), where scipy's
-jv and hankel2 are the cheap kinds at complex mu.
+J, Y basis, the contour in the J, H2 basis (_eigen_condition).  All three
+read one double-precision numpy kernel, _cylinder_pairs: Hankel's expansion
+at large argument, and below it H2 and H1 from the K pair at +-iw, by
+numpy forms of the Temme series and CF2 that _besselk_pair uses.
 
-Derivatives come from the one-sided recurrences, two Bessel evaluations per
-function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y, H2 in the
+Derivatives come from the one-sided recurrences, one pair of Bessel values
+per function: C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w) for C = J, Y, H2 in the
 oracle, and I' = I_{nu-1} - (nu/w) I_nu, K' = -K_{nu-1} - (nu/w) K_nu in
 _bessel_pack.  Neither cancels for real w: the K terms share a sign and
 I_{nu-1} > (nu/w) I_nu.  I_{nu-1} and I_nu are mpmath's besseli.  K_{nu-1}
@@ -58,6 +60,7 @@ lookups, and check_large_order_decay 6 for 24.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -66,10 +69,10 @@ from .precision import (DEFAULT_DPS, DomainError, _Deferred, context, float_cont
                         to_real)
 from .spectrum import DegreeData
 
-# Only the double-precision oracles use numpy and scipy, so reports, spectra and
-# the exact suites never pay their import.  The oracles read `_sp.jv` and the
-# like at call time, so a stand-in rebound as `operators._sp`
-# (perfbench/tracer.py counts Bessel calls so) sees them all.
+# Only the double-precision oracles use numpy, so reports, spectra and the exact
+# suites never pay its import.  Nothing here reads `_sp`, so no command imports
+# scipy; the name stays bound because perfbench/tracer.py's `install` rebinds it
+# to a proxy that reads jv, yv, jvp and yvp from it.
 np = _Deferred("numpy")
 _sp = _Deferred("scipy.special")
 
@@ -196,7 +199,12 @@ def _besselk_pair(ctx, nu, w):
     m = int(ctx.floor(nu + ctx.mpf(1) / 2))
     mu = nu - m if m else -nu
     cf2 = abs(w) >= _CF2_SWITCH or 2 * mu == -1
-    k0, k1 = (_temme_cf2 if cf2 else _temme_series)(ctx, nu, mu, w)
+    return _k_recurrence(m, mu, w, *(_temme_cf2 if cf2 else _temme_series)(ctx, nu, mu, w))
+
+
+def _k_recurrence(m, mu, w, k0, k1):
+    """(K_{nu-1}(w), K_nu(w)), nu = mu + m (m >= 1) or nu = -mu (m = 0), from
+    (K_mu(w), K_{mu+1}(w)) by the upward recurrence; w an mpmath value or an array."""
     if m == 0:
         return k1, k0
     for j in range(1, m):
@@ -378,6 +386,243 @@ def harmonic_operator(k: int, n: int, eps) -> ModelOperator:
 
 
 # ---------------------------------------------------------------------------
+# Double-precision Bessel pairs for the eigenvalue oracle
+
+
+_NP_HANKEL_FROM = 25.0     # Hankel's expansion from |w| = max(this, nu^2)
+_NP_CF2_FROM = 6.0         # K at +-iw: Temme's series below, CF2 from here
+_NP_J_SERIES_BELOW = 4.0   # J from its power series below max(this, nu + 1)
+_NP_TERM_TOL = 2.0 ** -57
+_NP_STEP_CAP = 10000       # on their ranges the series and CF2 take under 100 steps
+
+
+def _cylinder_pairs(nu: float, w):
+    """((J_{nu-1}(w), J_nu(w)), (C_{nu-1}(w), C_nu(w))) for nu >= 0 and an array w
+    with Re w > 0: C = Y for real w, C = H2 for complex w.
+
+    From |w| = max(25, nu^2) on, Hankel's expansion (_hankel_pairs).  Below,
+    H2_a(w) = (2/pi) i^(a+1) K_a(iw) and H1_a(w) = (2/pi) (-i)^(a+1) K_a(-iw),
+    with the K pair from _np_k_pair; real w takes J = Re H2 and Y = -Im H2,
+    complex w J = (H1 + H2)/2.  Below |w| = max(4, nu + 1), where |J| << |H|,
+    J comes from its power series instead; the series cancels like e^|w|, so
+    never past the Temme switch at 6.  Each point's value depends on that
+    point alone, so an array gives what its elements give one by one.
+    """
+    w = np.asarray(w)
+    shape, w = w.shape, w.ravel()
+    real = not np.iscomplexobj(w)
+    out = np.empty((4, w.size), dtype=w.dtype)
+    r = np.abs(w)
+    radius = max(_NP_HANKEL_FROM, nu * nu)
+    far = r >= radius
+    if far.any():
+        out[:, far] = _hankel_pairs(nu, w[far], real, radius)
+    near = ~far
+    if near.any():
+        wn = w[near]
+        ph = 2 / math.pi * complex(math.cos(math.pi * nu / 2), math.sin(math.pi * nu / 2))
+        if real:
+            k_prev, k = _np_k_pair(nu, 1j * wn)
+            h2 = ph * k_prev, 1j * ph * k
+            pairs = h2[0].real, h2[1].real, -h2[0].imag, -h2[1].imag
+        else:
+            k_prev, k = (np.split(v, 2) for v in _np_k_pair(nu, np.concatenate([1j * wn, -1j * wn])))
+            h2 = ph * k_prev[0], 1j * ph * k[0]
+            h1 = ph.conjugate() * k_prev[1], -1j * ph.conjugate() * k[1]
+            pairs = (h1[0] + h2[0]) / 2, (h1[1] + h2[1]) / 2, h2[0], h2[1]
+        out[:, near] = pairs
+    series_below = min(max(_NP_J_SERIES_BELOW, nu + 1), _NP_CF2_FROM)
+    small = r < series_below
+    if small.any():
+        out[0, small] = _np_j_series(nu - 1, w[small], series_below)
+        out[1, small] = _np_j_series(nu, w[small], series_below)
+    return out.reshape((2, 2) + shape)
+
+
+@functools.lru_cache(maxsize=128)
+def _hankel_coefficients(a: float, radius: float):
+    """Coefficients of P_a and z Q_a in 1/z^2 from Hankel's a_k(a), to the first
+    term below _NP_TERM_TOL at |z| = radius; at a half-integer order the
+    series ends by itself."""
+    coef, term, k = [1.0], 1.0, 1
+    while True:
+        term *= (4 * a * a - (2 * k - 1) ** 2) / (8 * k)
+        if term == 0 or abs(term) < _NP_TERM_TOL * radius ** k:
+            break
+        coef.append(term)
+        k += 1
+    return tuple(tuple(c if j % 2 == 0 else -c for j, c in enumerate(coef[i::2])) for i in (0, 1))
+
+
+def _hankel_pairs(nu, z, real, radius):
+    """The four values of _cylinder_pairs for |z| >= radius from Hankel's expansion
+
+        H2_a(z) = sqrt(2/(pi z)) e^(-i omega) (P_a(z) - i Q_a(z)),
+        omega = z - (a/2 + 1/4) pi,
+
+    and H1_a its conjugate form; omega's cosine and sine combine cos z and
+    sin z of the float z with those of the phase, since z - phase in floats
+    would lose its last bits at large z.  Order nu - 1 has omega + pi/2.
+    """
+    u = 1 / (z * z)
+    (P1, Q1), (P, Q) = ((np.polyval(p[::-1], u), np.polyval(q[::-1], u) / z)
+                        for p, q in (_hankel_coefficients(a, radius) for a in (nu - 1, nu)))
+    phase = math.pi * (nu / 2 + 0.25)
+    s = np.sqrt(2 / (math.pi * z))
+    if real:
+        cz, sz, cp, sp = np.cos(z), np.sin(z), math.cos(phase), math.sin(phase)
+        cw, sw = cz * cp + sz * sp, sz * cp - cz * sp      # cos and sin of omega
+        return (s * (-P1 * sw - Q1 * cw), s * (P * cw - Q * sw),
+                s * (P1 * cw - Q1 * sw), s * (P * sw + Q * cw))
+    e = complex(math.cos(phase), math.sin(phase))
+    em, ep = np.exp(-1j * z) * e, np.exp(1j * z) * e.conjugate()     # e^(-i omega), e^(i omega)
+    h2_prev, h2 = -1j * s * em * (P1 - 1j * Q1), s * em * (P - 1j * Q)
+    h1_prev, h1 = 1j * s * ep * (P1 + 1j * Q1), s * ep * (P + 1j * Q)
+    return (h1_prev + h2_prev) / 2, (h1 + h2) / 2, h2_prev, h2
+
+
+def _np_j_series(a, w, radius):
+    """J_a(w) for a >= -1 from its power series, to the first term bound below
+    _NP_TERM_TOL at |w| = radius, a count that depends on a and radius alone."""
+    if a == -1:
+        return -_np_j_series(1.0, w, radius)
+    x = -(w * w) / 4
+    t, s, k, bound = 1.0, 1.0, 0, 1.0
+    while bound >= _NP_TERM_TOL:
+        k += 1
+        t = t * x / (k * (a + k))
+        s = s + t
+        bound *= radius * radius / 4 / (k * abs(a + k))
+    return (w / 2) ** a / math.gamma(a + 1) * s
+
+
+def _np_k_pair(nu, w):
+    """(K_{nu-1}(w), K_nu(w)) for a complex array w, |w| < max(25, nu^2), Re w of
+    either sign: _besselk_pair's order split and recurrence on numpy's
+    Temme series below |w| = _NP_CF2_FROM and CF2 from there."""
+    m = math.floor(nu + 0.5)
+    mu = nu - m if m else -nu
+    k0, k1 = np.empty_like(w), np.empty_like(w)
+    cf2 = np.abs(w) >= _NP_CF2_FROM
+    if 2 * mu == -1:
+        cf2[:] = True
+    for pick, source in ((cf2, _np_temme_cf2), (~cf2, _np_temme_series)):
+        if pick.any():
+            k0[pick], k1[pick] = source(mu, w[pick])
+    return _k_recurrence(m, mu, w, k0, k1)
+
+
+@functools.lru_cache(maxsize=128)
+def _temme_gammas(mu: float):
+    """(pi mu / sin(pi mu)) (gamma1, gamma2), 1/Gamma(1 + mu) and 1/Gamma(1 - mu)
+    of Temme's series as floats, rounded from a 53-bit context with the bits
+    that gamma1's difference cancels added."""
+    ctx = float_context()
+    with ctx.extraprec(20 + (-ctx.mag(mu) if mu else 0)):
+        m = ctx.mpf(mu)
+        rg_plus, rg_minus = ctx.rgamma(1 + m), ctx.rgamma(1 - m)
+        gamma1 = (rg_minus - rg_plus) / (2 * m) if mu else -ctx.euler
+        fact = ctx.pi * m / ctx.sinpi(m) if mu else 1
+        values = fact * gamma1, fact * (rg_minus + rg_plus) / 2, rg_plus, rg_minus
+    return tuple(map(float, values))
+
+
+def _np_temme_series(mu, w):
+    """(K_mu(w), K_{mu+1}(w)) for |mu| <= 1/2 and a complex array w from Temme's
+    series, as _temme_series, each point summed until its own term falls
+    below a double's precision."""
+    g1, g2, rg_plus, rg_minus = _temme_gammas(mu)
+    d = -np.log(w / 2)
+    e = mu * d
+    f = g1 * np.cosh(e) + g2 * (np.sinh(e) / e if mu else 1) * d
+    p = np.exp(e) / (2 * rg_plus)
+    q = np.exp(-e) / (2 * rg_minus)
+    x = w * w / 4
+    c = np.ones_like(w)
+    state = [f, p, q, x, c, f, p]
+    out = _converge_each(state, _temme_series_step, mu, 1, np.zeros(w.size, dtype=bool))
+    return out[0], 2 * out[1] / w
+
+
+def _temme_series_step(i, state, mu):
+    """Term i of _np_temme_series on state = [f, p, q, x, c, s, s1]; returns the
+    convergence test of each point."""
+    f, p, q, x, c, s, s1 = state
+    f = (i * f + p + q) / (i * i - mu * mu)
+    c = c * (x / i)
+    p = p / (i - mu)
+    q = q / (i + mu)
+    term = c * f
+    s = s + term
+    state[:] = f, p, q, x, c, s, s1 + c * (p - i * f)
+    return np.abs(term) <= 2.0 ** -53 * np.abs(s)
+
+
+def _np_temme_cf2(mu, w):
+    """(K_mu(w), K_{mu+1}(w)) for |mu| <= 1/2 and a complex array w from Steed's
+    CF2, as _temme_cf2."""
+    a1 = 0.25 - mu * mu
+    b = 2 * (1 + w)
+    d = 1 / b
+    q = np.full_like(w, a1)
+    dels = q * d
+    s = 1 + dels
+    state = [np.zeros_like(w), np.ones_like(w), q, b, d, d, dels, s, d]
+    s, h = _converge_each(state, _cf2_step, [a1, -a1], 2, np.abs(dels) <= 2.0 ** -53 * np.abs(s))
+    k0 = np.sqrt(math.pi / (2 * w)) * np.exp(-w) / s
+    return k0, k0 * (mu + 0.5 - a1 * h + w) / w
+
+
+def _cf2_step(i, state, ca):
+    """Iteration i of _np_temme_cf2 on state = [q1, q2, q, b, d, delh, dels, s, h]
+    and the scalars ca = [c, a]; returns the convergence test of each point."""
+    q1, q2, q, b, d, delh, dels, s, h = state
+    c, a = ca
+    a -= 2 * (i - 1)
+    c = -a * c / i
+    ca[:] = c, a
+    q1, q2 = q2, (q1 - b * q2) / a
+    q = q + c * q2
+    b = b + 2
+    d = 1 / (b + a * d)
+    delh = (b * d - 1) * delh
+    dels = q * delh
+    s = s + dels
+    state[:] = q1, q2, q, b, d, delh, dels, s, h + delh
+    return np.abs(dels) <= 2.0 ** -53 * np.abs(s)
+
+
+def _converge_each(state, step, param, first, done):
+    """Run step(i, state, param) for i = first, first + 1, ... on the state arrays
+    until each point's convergence test passes, and return the last two state
+    arrays of each point as they were when its test first passed; done is the
+    test before the first step.
+
+    A point's values depend on that point alone.  Points that have converged
+    stay in the arrays, and go on being stepped, until half of them have;
+    then the arrays are cut to the rest, so a loop over a few slow points
+    does not pay for the whole array.
+    """
+    n = done.size
+    out = np.empty((2, n), dtype=state[-1].dtype)
+    todo = np.arange(n)
+    live = np.ones(n, dtype=bool)
+    for i in range(first, _NP_STEP_CAP):
+        done &= live
+        if done.any():
+            out[0, todo[done]], out[1, todo[done]] = state[-2][done], state[-1][done]
+            live &= ~done
+            left = np.count_nonzero(live)
+            if left == 0:
+                return out
+            if 2 * left <= live.size:
+                todo, state[:] = todo[live], [v[live] if np.ndim(v) else v for v in state]
+                live = np.ones(left, dtype=bool)
+        done = step(i, state, param)
+    raise ArithmeticError(f"{step.__name__} did not converge in {_NP_STEP_CAP} steps")
+
+
+# ---------------------------------------------------------------------------
 # Brute-force eigenvalue oracle (double precision scan + certified count)
 
 
@@ -386,15 +631,13 @@ def _eigen_condition(op: ModelOperator):
 
     Each end condition applied to sqrt(x) J_nu(mu x) and sqrt(x) Y_nu(mu x)
     gives a pair (U_J, U_Y), and the condition is U_J(left) U_Y(right) -
-    U_Y(left) U_J(right).  At complex mu the ends
-    take J and H2 = J - iY, so Y = (J - H2)/i and the same determinant is
-    (U_H2(left) U_J(right) - U_J(left) U_H2(right)) / i.  There yv costs about
-    as much as hankel1 and hankel2 together, and hankel1 more than jv (7,680
-    points at Im mu = -1, nu = 0, 3/2 and 7/2, best of 15, scipy 1.17.1 on a
-    2-core VM: jv 2.5-4.6 ms, yv 7.4-13 ms, hankel1 3.9-7.5 ms, hankel2
-    1.5-7.5 ms).  The real axis keeps J, Y: any other basis moves the last bits
-    of the roots.  The end conditions become float coefficients (x0, sqrt(x0),
-    beta + 1/2) once.
+    U_Y(left) U_J(right).  At complex mu the ends take J and H2 = J - iY, so
+    Y = (J - H2)/i and the same determinant is (U_H2(left) U_J(right) -
+    U_J(left) U_H2(right)) / i, with H2 as the kernel makes it and no Y formed.
+    The real axis keeps J, Y: any other basis moves the last bits of the roots.
+    Both ends go to _cylinder_pairs as one array, and each end condition reads
+    its pair through C'_nu(w) = C_{nu-1}(w) - (nu/w) C_nu(w).  The end
+    conditions become float coefficients (x0, sqrt(x0), beta + 1/2) once.
     """
     nu = float(op.nu)
 
@@ -402,22 +645,23 @@ def _eigen_condition(op: ModelOperator):
         x0 = float(op.eps) if side == "eps" else 1.0
         return x0, math.sqrt(x0), None if kind == "D" else float(Fraction(beta) + Fraction(1, 2))
 
-    left, right = (coefficients(*cond) for cond in end_conditions(op.variant, op.A))
+    ends = [coefficients(*cond) for cond in end_conditions(op.variant, op.A)]
 
-    def apply(C, mu, x0, root, shift):
-        w = mu * x0
-        c = C(nu, w)
+    def apply(pair, w, x0, root, shift):
+        prev, c = pair
         if shift is None:
             return root * c
         # w C'_nu(w) + shift C_nu(w) = w C_{nu-1}(w) + (shift - nu) C_nu(w)
-        return (w * C(nu - 1, w) + (shift - nu) * c) / root
+        return (w * prev + (shift - nu) * c) / root
 
     def F(mu):
+        mu = np.asarray(mu)
+        w = np.stack([mu * x0 for x0, _, _ in ends])
+        (lJ, rJ), (lC, rC) = ([apply(pair[:, e], w[e], *ends[e]) for e in (0, 1)]
+                              for pair in _cylinder_pairs(nu, w))
         if np.iscomplexobj(mu):
-            return (apply(_sp.hankel2, mu, *left) * apply(_sp.jv, mu, *right)
-                    - apply(_sp.jv, mu, *left) * apply(_sp.hankel2, mu, *right)) / 1j
-        return (apply(_sp.jv, mu, *left) * apply(_sp.yv, mu, *right)
-                - apply(_sp.yv, mu, *left) * apply(_sp.jv, mu, *right))
+            return (lC * rJ - lJ * rC) / 1j
+        return lJ * rC - lC * rJ
     return F
 
 
@@ -502,8 +746,8 @@ def eigenvalues_oracle(op: ModelOperator, count: int):
     strict-interlacing check, and an argument-principle winding count on the
     conjugate-symmetric contour certifying that no root was missed.
     """
-    if count > 500:
-        raise ValueError("oracle supports count <= 500")
+    if not 1 <= count <= 500:
+        raise ValueError(f"oracle supports 1 <= count <= 500, got {count}")
     F = _eigen_condition(op)
     spacing = math.pi / op.length
     mu_max = spacing * (count + 3) + 2.0 * float(op.nu) + 10.0
@@ -550,8 +794,9 @@ def _log_product_estimate(lam: np.ndarray, length: float, w2: float) -> float:
     aM = len(lam) + 1 + q
     # sum_{i>M} x_i^-2 with x_i = i + q + a1/i + ...: psi'(aM) minus the
     # leading frequency-correction term
-    s2 = float(_sp.polygamma(1, aM)) / c ** 2
-    s4p = float(_sp.polygamma(3, aM)) / 6
+    ctx = float_context()
+    s2 = float(ctx.psi(1, aM)) / c ** 2
+    s4p = float(ctx.psi(3, aM)) / 6
     sum_inv2 = s2 - 2 * a1 * s4p / c ** 2
     sum_inv4 = s4p / c ** 4
     return logprod + w2 * sum_inv2 - 0.5 * w2 ** 2 * sum_inv4

@@ -17,7 +17,7 @@ error at most ``10**(5 - P)``.  This is a consequence of mpmath's internal
 error control plus the guard digits; it is not proved here but is enforced
 empirically by the precision-doubling checks in the test suite.
 
-mpmath, like numpy and scipy in ``operators``, is imported on first use
+mpmath, like numpy in ``operators``, is imported on first use
 (``_Deferred``): ``context`` and ``float_context`` are the first readers, so
 the CLI import, ``spectrum`` and the exact suites of ``verify`` never load it.
 """
@@ -37,7 +37,7 @@ class _Deferred:
 
     Each attribute is cached on the instance, so later reads are plain
     attribute lookups.  Readers look attributes up at call time (`mpmath.mp`,
-    `_sp.jv`), so a stand-in rebound under the module-level name sees every
+    `np.sqrt`), so a stand-in rebound under the module-level name sees every
     later read.
     """
 

@@ -25,8 +25,9 @@ I' = (I_{nu-1} + I_{nu+1})/2 and K' = -(K_{nu-1} + K_{nu+1})/2, not from the
 operators module's Bessel pack (one-sided recurrences, the K pair from
 Temme's series and continued fraction), so the checks share no Bessel code
 with the routes they check.  eigen_condition_jy is the eigencondition in the
-J, Y basis at every mu, the reference of the oracle's winding contour, which
-takes the J, H2 basis at complex mu.
+J, Y basis at every mu from scipy's jv and yv, the reference of the oracle's
+winding contour, which takes the J, H2 basis at complex mu, and of its numpy
+Bessel kernel: scipy is a test dependency only.
 """
 
 import math

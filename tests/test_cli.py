@@ -86,15 +86,13 @@ import json, sys
 from fractions import Fraction
 from conetorsion.operators import ModelOperator, eigenvalues_oracle
 lam = eigenvalues_oracle(ModelOperator("psi2", Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), 6)
-print(json.dumps({"lam": lam, "loaded": sorted({"numpy", "scipy"} & set(sys.modules)),
-                  "optimize": "scipy.optimize" in sys.modules}))
+print(json.dumps({"lam": lam, "loaded": sorted({"numpy", "scipy"} & set(sys.modules))}))
 """
 
 
-def test_an_oracle_loads_numpy_and_scipy_on_first_use():
+def test_an_oracle_loads_only_numpy_on_first_use():
     out = run_fresh(ORACLE_CALL)
-    assert out["loaded"] == ["numpy", "scipy"]
-    assert out["optimize"] is False
+    assert out["loaded"] == ["numpy"]
     # order 1/2: sin(mu (x - 1/2)) with f'(1) = 0, so mu = (2i - 1) pi
     assert all(abs(lam / ((2 * i - 1) * math.pi) ** 2 - 1) < 1e-14
                for i, lam in enumerate(out["lam"], 1))

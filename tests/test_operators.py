@@ -225,8 +225,9 @@ def test_largenu_orders_ignore_the_global_mpmath_precision(monkeypatch):
 
 
 def test_oracle_count_guard():
-    with pytest.raises(ValueError):
-        eigenvalues_oracle(ModelOperator("psi0", 1, F(1), F(1, 2)), 10000)
+    for count in (10000, 0, -1):
+        with pytest.raises(ValueError, match="1 <= count <= 500"):
+            eigenvalues_oracle(ModelOperator("psi0", 1, F(1), F(1, 2)), count)
 
 
 def test_boundary_condition_table():
@@ -299,12 +300,58 @@ DETRATIO_TINY_OPERATORS = WINDING_OPERATORS[:4]
 def test_winding_count_in_the_hankel_basis_is_the_jy_count(monkeypatch, op):
     # the contour of eigenvalues_oracle, in the J, H2 basis, at the htrunc and detratio counts
     count = 320 if op in HTRUNC_OPERATORS else 220
-    roots = np.sqrt(eigenvalues_oracle(op, count))
+    lam = eigenvalues_oracle(op, count)
+    roots = np.sqrt(lam)
     lo, hi = roots[0] * 0.5, roots[-1] + 0.45 * math.pi / op.length
     samples = max(400, count * 24)
     j_h2 = operators._winding_count(op, lo, hi, samples)
     monkeypatch.setattr(operators, "_eigen_condition", eigen_condition_jy)
     assert j_h2 == operators._winding_count(op, lo, hi, samples) == count
+    # scipy's jv and yv, which share no code with the oracle's kernel, give the same eigenvalues
+    np.testing.assert_allclose(eigenvalues_oracle(op, count), lam, rtol=1e-13, atol=0)
+
+
+# the kernel's switches: J's power series below 4 (nu + 1 = 9/2 at nu = 7/2), the K
+# pair's Temme series below 6 and CF2 from there, Hankel's expansion from 25
+KERNEL_NUS = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(7, 2)]
+KERNEL_SWITCHES = [4.0, 4.5, 6.0, 25.0]
+
+
+def _kernel_points(im):
+    """Arguments of the kernel test on the line Im w = im: |w| from 1e-3 (real) or
+    Re w from 0.3 (complex) to 2100, and |w| on both sides of every switch."""
+    if im == 0:
+        spread = np.geomspace(1e-3, 2100, 25)
+        radii = [r * f for r in KERNEL_SWITCHES for f in (1 - 1e-9, 1, 1 + 1e-9)]
+        return np.concatenate([spread, radii])
+    re = np.geomspace(0.3, 2100, 15).tolist()
+    re += [math.sqrt(r * r - im * im) * f for r in KERNEL_SWITCHES for f in (1 - 1e-9, 1 + 1e-9)]
+    return np.array(re) + 1j * im
+
+
+@pytest.mark.parametrize("nu", KERNEL_NUS, ids=str)
+def test_cylinder_pairs_match_mpmath(nu):
+    # (J, Y) on the real axis and (J, H2) below it, to Im w = -1.6, about the lowest the
+    # winding contour reaches, against mpmath at 30 digits, both orders of each pair.
+    # The bound is 5e-14 of |J| + |C|, and for J of |J| + I_a(|w|) where that is smaller:
+    # at small w, where |J| << |C|, J keeps its own digits, or the winding count can fail
+    for im in (0, -1.6, -0.3, -1e-3):
+        w = _kernel_points(im)
+        (j_prev, j), (c_prev, c) = got = operators._cylinder_pairs(float(nu), w)
+        # each point's value depends on that point alone
+        for i, v in enumerate(w):
+            assert (operators._cylinder_pairs(float(nu), v) == got[..., i]).all()
+        with mp.workdps(30):
+            for i, v in enumerate(w):
+                arg = mp.mpf(v) if im == 0 else mp.mpc(v)
+                for order, jv, cv in ((nu - 1, j_prev[i], c_prev[i]), (nu, j[i], c[i])):
+                    a = mp.mpf(order.numerator) / order.denominator
+                    j_ref = mp.besselj(a, arg)
+                    c_ref = mp.bessely(a, arg) if im == 0 else mp.hankel2(a, arg)
+                    tol = 5e-14 * (abs(j_ref) + abs(c_ref))
+                    tol_j = min(tol, 5e-14 * (abs(j_ref) + mp.besseli(a, abs(arg))))
+                    assert abs(complex(jv) - j_ref) <= tol_j, (str(order), v)
+                    assert abs(complex(cv) - c_ref) <= tol, (str(order), v)
 
 
 def _scan_brackets(op, count):
