@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from . import spectrum, torsion, verify
 from .precision import DEFAULT_DPS, MIN_DPS, PrecisionError
-from .spectrum import MalformedSpectrumFile, UnsupportedManifoldError
 
 DEFAULT_PRECISION_ENV = "CONETORSION_PRECISION"
 
@@ -38,7 +37,9 @@ class _Parser(argparse.ArgumentParser):
 def _fraction_in(option: str, text: str, low, high=None) -> Fraction:
     """Parse `text` as a rational with low < value (< high when given)."""
     try:
-        value = Fraction(text)
+        value = spectrum.parse_fraction(text)
+    except spectrum.ExponentOutOfRange as exc:
+        raise UsageError(f"{option}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{option}: {text!r} is not a number") from exc
     if not low < value or (high is not None and not value < high):
@@ -71,12 +72,13 @@ def parse_base(spec: str) -> spectrum.BaseManifold:
         if kind == "torus":
             n = int(parts[1])
             rank = int(parts[2]) if len(parts) > 2 else 1
-            scale = Fraction(parts[3]) if len(parts) > 3 else Fraction(1)
+            scale = spectrum.parse_fraction(parts[3]) if len(parts) > 3 else Fraction(1)
             return spectrum.torus(n, rank, scale)
     except (IndexError, ValueError, ZeroDivisionError) as exc:
         why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-        raise UnsupportedManifoldError(f"cannot parse base {spec!r}: {why}") from exc
-    raise UnsupportedManifoldError(f"unknown base family {kind!r} (use sphere:<n> or torus:<n>)")
+        raise spectrum.UnsupportedManifoldError(f"cannot parse base {spec!r}: {why}") from exc
+    raise spectrum.UnsupportedManifoldError(
+        f"unknown base family {kind!r} (use sphere:<n> or torus:<n>)")
 
 
 def _load_base(args) -> spectrum.BaseManifold:
@@ -84,7 +86,7 @@ def _load_base(args) -> spectrum.BaseManifold:
         return spectrum.read_spectrum_file(args.spectrum_file)
     if args.base:
         return parse_base(args.base)
-    raise UnsupportedManifoldError("one of --base or --spectrum-file is required")
+    raise spectrum.UnsupportedManifoldError("one of --base or --spectrum-file is required")
 
 
 def _emit(payload: str, out_path):
@@ -205,8 +207,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (UnsupportedManifoldError, MalformedSpectrumFile, PrecisionError, UsageError,
-            OSError) as exc:
+    except (spectrum.UnsupportedManifoldError, spectrum.MalformedSpectrumFile, PrecisionError,
+            UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

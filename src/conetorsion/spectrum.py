@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +45,28 @@ class UnsupportedManifoldError(ValueError):
 
 class MalformedSpectrumFile(ValueError):
     pass
+
+
+# Fraction(text) builds 10^|e| before any budget can see the number: 1e-9999999
+# took 9 s, and the cost grows faster than |e|.  Past this exponent a decimal
+# number is refused at once.
+MAX_EXPONENT = 10 ** 6
+
+
+class ExponentOutOfRange(ValueError):
+    """A decimal number whose exponent is beyond MAX_EXPONENT in size."""
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with the exponent of a decimal number read first, from its text."""
+    mantissa, e, tail = text.strip().lower().partition("e")
+    try:
+        exponent = Decimal(mantissa).adjusted() + (int(tail) if e else 0)
+    except (InvalidOperation, ValueError):
+        exponent = 0    # not a decimal number (p/q, or none at all): Fraction names the fault
+    if abs(exponent) > MAX_EXPONENT:
+        raise ExponentOutOfRange(f"{text!r} has a decimal exponent beyond 10^6 in size")
+    return Fraction(text)
 
 
 class SpectralLine(namedtuple("SpectralLine", "k eta mult")):
@@ -412,7 +434,7 @@ def _parse_rational(s: str) -> Fraction:
         if int(den) == 0:
             raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
-    return Fraction(s)
+    return parse_fraction(s)
 
 
 def _format_rational(q: Fraction) -> str:

@@ -184,13 +184,14 @@ def check_large_order_decay(P: int = 60):
     # t at lam = -1:  (1 - eps^2 lam)^(-1/2) = (1 + eps^2)^(-1/2)
     t_eps = 1 / ctx.sqrt(1 + (ctx.mpf(eps.numerator) / eps.denominator) ** 2)
 
+    t_vals = {nu: operators.t_function(k, n, nu, eps, lam, P) for nu in (20, 40, 80)}
+
     def remainder(R, nu):
-        t_val = operators.t_function(k, n, nu, eps, lam, P)
         acc = -2 * ctx.log(t_eps)
         for r in range(1, R + 1):
             val = olver.large_nu_term(r, A).evaluate(lambda e: t_eps ** e, ctx)
             acc += (-ctx.mpf(nu)) ** (-r) * val
-        return abs(t_val - acc)
+        return abs(t_vals[nu] - acc)
 
     results = {}
     ok = True

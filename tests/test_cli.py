@@ -107,12 +107,85 @@ def test_the_package_import_loads_neither_dataclasses_nor_inspect():
     assert out == []
 
 
-def test_the_cli_import_loads_every_package_module():
-    # perfbench/tracer.py wraps its LAYERS functions in the modules that this import loads
+def test_the_cli_import_registers_every_package_module():
+    # perfbench/tracer.py finds its LAYERS modules in sys.modules right after this import;
+    # a registered module runs its code when the tracer reads it
     out = run_fresh("import json, pkgutil, sys\nimport conetorsion.cli\n"
                     "print(json.dumps([m.name for m in pkgutil.iter_modules(conetorsion.__path__)"
                     " if 'conetorsion.' + m.name not in sys.modules]))")
     assert out == []
+
+
+# the package modules whose code has run after argv (none when argv is empty): a
+# registered module becomes a plain module once its code has run
+MODULES_RUN = """
+import contextlib, io, json, sys, types
+from conetorsion import cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv) if argv else 0
+print(json.dumps({"code": code, "run": sorted(
+    name.rpartition(".")[2] for name, module in sys.modules.items()
+    if name.startswith("conetorsion.") and type(module) is types.ModuleType)}))
+"""
+PACKAGE_MODULES = {"berezin", "cli", "olver", "operators", "precision", "spectrum", "torsion",
+                   "verify", "zeta"}
+
+
+@pytest.mark.parametrize("argv, unrun", [
+    ([], PACKAGE_MODULES - {"cli", "precision"}),
+    (["torsion", "--base", "sphere:3"], {"operators"}),
+    (["verify", "--suite", "dm"], {"operators", "torsion", "zeta"}),
+])
+def test_a_command_runs_only_the_modules_it_reads(argv, unrun):
+    out = run_fresh(MODULES_RUN, json.dumps(argv))
+    assert out == {"code": 0, "run": sorted(PACKAGE_MODULES - unrun)}
+
+
+def test_the_package_exports_read_their_modules_on_first_use():
+    out = run_fresh("import json\nimport conetorsion\nfrom conetorsion import *\n"
+                    "print(json.dumps([sphere(3) == conetorsion.sphere(3), dir(conetorsion)]))")
+    same, names = out
+    assert same and set(conetorsion.__all__) | {"spectrum", "zeta", "__version__"} <= set(names)
+    assert names == sorted(names)
+
+
+# 8 threads read three modules that have not run yet, all at once, each in its own order,
+# with the interpreter switching threads as often as it can
+FIRST_READS = """
+import json, sys, threading, types
+import conetorsion
+reads = [lambda: conetorsion.zeta.zeta_ccl_at_zero, lambda: conetorsion.operators.eigenvalues_oracle,
+         lambda: conetorsion.verify.SUITES]
+unrun = [type(sys.modules["conetorsion." + name]) is not types.ModuleType
+         for name in ("zeta", "operators", "verify")]
+barrier = threading.Barrier(8)
+errors = []
+
+def read(i):
+    try:
+        barrier.wait(timeout=60)
+        for k in range(3):
+            reads[(i + k) % 3]()
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+print(json.dumps({"unrun": unrun, "errors": errors, "alive": sum(t.is_alive() for t in threads)}))
+"""
+
+
+def test_threads_that_first_read_a_module_at_once_all_find_it_run():
+    assert run_fresh(FIRST_READS) == {"unrun": [True] * 3, "errors": [], "alive": 0}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -364,6 +437,13 @@ def test_scaling_suite_reports_an_odd_scale_power(monkeypatch, capsys):
     ("spectrum", "--base", "sphere:7", "--cutoff", "1e6"),
     # an empty radius list is malformed, not absent
     ("torsion", "--base", "sphere:3", "--eps", ""),
+    # decimal exponents beyond 10^6 in size are refused before Fraction builds 10^|e|
+    ("torsion", "--base", "sphere:3", "--eps", "1e-99999999,1/2"),
+    ("torsion", "--base", "sphere:3", "--eps", "1e-999999999"),
+    ("torsion", "--base", "sphere:3", "--eps", "1/2,0e-99999999"),
+    ("spectrum", "--base", "sphere:3", "--cutoff", "1e1000001"),
+    ("spectrum", "--base", "sphere:3", "--cutoff", "1e99999999999999999999999"),
+    ("torsion", "--base", "torus:3:1:1e-99999999"),
 ])
 def test_malformed_numbers_are_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -414,6 +494,7 @@ def test_verify_refuses_rmax_past_the_budget_at_once(capsys, monkeypatch, rmax):
 SPECTRUM_FILE_MESSAGES = {
     "dim=3 rank=1\nbetti=1,0,0,1\n0,1e400,4\n": "eta 1e400 is too large for a float",
     "dim=3 rank=1\nbetti=1,0,0,1\n0,3,4\n1,3/0,4\n": "zero denominator in '3/0'",
+    "dim=3 rank=1\nbetti=1,0,0,1\n0,1e-99999999,4\n": "'1e-99999999' has a decimal exponent",
 }
 
 
@@ -425,6 +506,7 @@ SPECTRUM_FILE_MESSAGES = {
     ("dim=3 rank=1\nbetti=1,0,0,1\n9,3,4\n", 3),
     ("dim=3 rank=1\nbetti=1,0,0,1\n0,1e400,4\n", 3),
     ("dim=3 rank=1\nbetti=1,0,0,1\n0,3,4\n1,3/0,4\n", 4),
+    ("dim=3 rank=1\nbetti=1,0,0,1\n0,1e-99999999,4\n", 3),
 ])
 def test_malformed_spectrum_files_are_errors(capsys, tmp_path, body, lineno):
     path = tmp_path / "bad.spec"
