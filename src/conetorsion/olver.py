@@ -34,13 +34,42 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from operator import add
 
 from .precision import to_real
 
 
 class StructureError(RuntimeError):
     """A generated polynomial violates its exponent-support invariant."""
+
+
+# A packed key holds an exponent tuple in one int: field i is exponent i at bit
+# _FIELD * i, signed, so that adding two keys adds their exponent tuples.  Every
+# field but the last must stay below 2^(_FIELD - 1) in size to read back; the
+# ring refuses a polynomial in several variables whose exponents pass _REACH,
+# so that the sum of two of them still reads back.
+_FIELD = 64
+_HALF = 1 << (_FIELD - 1)
+_MASK = (1 << _FIELD) - 1
+_REACH = 1 << (_FIELD - 2)
+
+
+def _pack(k: tuple) -> int:
+    key = 0
+    for e in reversed(k):
+        key = (key << _FIELD) + e
+    return key
+
+
+def _check_reach(reach: int, nvars: int) -> None:
+    if reach >= _REACH:
+        raise OverflowError(f"exponents of {nvars}-variable polynomials must stay below 2^62")
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    if nvars == 1:
+        return (key,)
+    e = ((key + _HALF) & _MASK) - _HALF
+    return (e,) + _unpack((key - e) >> _FIELD, nvars - 1)
 
 
 class Polynomial:
@@ -51,9 +80,15 @@ class Polynomial:
     `berezin` (whose exponents may be negative).  Every key of a polynomial
     has length `nvars`, fixed at construction, and combining polynomials in
     different numbers of variables raises, so no variable is ever dropped.
+
+    Products, the formal-log recurrence and substitution run on the integer
+    form: packed key -> integer numerator over the lcm of the denominators,
+    built on first use.  A polynomial is never changed after construction,
+    so its form never goes stale.  In two or more variables every exponent but
+    the last must stay below 2^62 in size (OverflowError).
     """
 
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ("nvars", "coeffs", "_ints")
 
     def __init__(self, coeffs, nvars=None):
         if nvars is None:
@@ -62,6 +97,7 @@ class Polynomial:
             nvars = len(next(iter(coeffs)))
         self.nvars = nvars
         self.coeffs = {}
+        self._ints = None
         for k, c in coeffs.items():
             k = tuple(k)
             if len(k) != nvars:
@@ -75,7 +111,26 @@ class Polynomial:
         out = object.__new__(cls)
         out.nvars = nvars
         out.coeffs = coeffs
+        out._ints = None
         return out
+
+    @classmethod
+    def _from_ints(cls, nvars, nums: dict, den: int):
+        """The polynomial sum nums[key] x^key / den, keys in the order of `nums`."""
+        return cls._of(nvars, {_unpack(k, nvars): Fraction(c, den) for k, c in nums.items() if c})
+
+    def _form(self):
+        """(packed key -> integer numerator in key order, common denominator, reach).
+
+        Two threads that build it at once store equal forms.
+        """
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+            reach = max((abs(e) for k in self.coeffs for e in k[:-1]), default=0)
+            _check_reach(reach, self.nvars)
+            self._ints = ({_pack(k): c.numerator * (den // c.denominator)
+                           for k, c in self.coeffs.items()}, den, reach)
+        return self._ints
 
     def _common_nvars(self, other) -> int:
         if self.nvars != other.nvars:
@@ -94,18 +149,18 @@ class Polynomial:
                 del out[k]
         return Polynomial._of(nvars, out)
 
-    def _numerators(self):
-        """(exponent -> integer numerator, common denominator): the lcm of the denominators."""
-        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        return {k: c.numerator * (den // c.denominator) for k, c in self.coeffs.items()}, den
-
     def __mul__(self, other):
+        """Keys in first-seen order over the pairs of terms, as one Fraction product per pair gives."""
         nvars = self._common_nvars(other)
-        n1, d1 = self._numerators()
-        n2, d2 = other._numerators()
-        den = d1 * d2
-        return Polynomial._of(nvars, {k: Fraction(c, den)
-                                      for k, c in _convolve(n1, n2).items() if c})
+        (a, da, ra), (b, db, rb) = self._form(), other._form()
+        _check_reach(ra + rb, nvars)
+        out = {}
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return Polynomial._from_ints(nvars, out, da * db)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
@@ -133,15 +188,29 @@ class Polynomial:
 
         The result is a polynomial in the remaining variables, in their
         order; substituting the only variable gives the exact value itself.
+        With value = a/b and the exponents e of variable i in [low, top], each
+        term's integer numerator n adds n a^(e - low) b^(top - e) to the sum of
+        its remaining key, all over den b^(top - low) (a/b)^(-low); a negative
+        low at value 0 raises ZeroDivisionError.
         """
         value = Fraction(value)
+        nums, den, _reach = self._form()
+        exps = [k[i] for k in self.coeffs]
+        low, top = min(exps, default=0), max(exps, default=0)
+        factor = value ** low / (den * value.denominator ** (top - low))
+        a_pow, b_pow = [1], [1]
+        for _ in range(top - low):
+            a_pow.append(a_pow[-1] * value.numerator)
+            b_pow.append(b_pow[-1] * value.denominator)
         out = {}
-        for k, c in self.coeffs.items():
+        for k, c, e in zip(self.coeffs, nums.values(), exps):
             rest = k[:i] + k[i + 1:]
-            out[rest] = out.get(rest, 0) + c * value ** k[i]
+            out[rest] = out.get(rest, 0) + c * a_pow[e - low] * b_pow[top - e]
+        f_num, f_den = factor.numerator, factor.denominator
         if self.nvars == 1:
-            return out.get((), Fraction(0))
-        return Polynomial._of(self.nvars - 1, {k: c for k, c in out.items() if c})
+            return Fraction(out.get((), 0) * f_num, f_den)
+        terms = ((k, c * f_num) for k, c in out.items())
+        return Polynomial._of(self.nvars - 1, {k: Fraction(c, f_den) for k, c in terms if c})
 
     def evaluate(self, monomial, ctx):
         """Numeric value: sum of to_real(c) * monomial(*exponents), in sorted key order."""
@@ -175,16 +244,6 @@ def _next_uv(u: Polynomial):
     return nxt, nxt + _W_V * transfer
 
 
-def _convolve(a: dict, b: dict) -> dict:
-    """Product of two exponent -> integer dicts, keys in first-seen order (zeros kept)."""
-    out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = tuple(map(add, k1, k2))
-            out[k] = out.get(k, 0) + c1 * c2
-    return out
-
-
 def _w(v: Polynomial, u: Polynomial) -> Polynomial:
     """v(t) + A t u(t) in (t, A): the coefficient v_r + A t u_{r-1} of the M-series."""
     return Polynomial({**{(e, 0): c for (e,), c in v.coeffs.items()},
@@ -195,22 +254,25 @@ def _log_coefficient(newest: Polynomial, coeffs: list, logs: list) -> Polynomial
     """Formal-log coefficient l_r of 1 + sum c_i x^i, r = len(logs), from l_j = logs[j].
 
     Uses r*l_r = r*c_r - sum_{j=1}^{r-1} j*l_j*c_{r-j}, with c_r = `newest` and
-    c_i = coeffs[i] for i < r, summed as integers over one common denominator.
+    c_i = coeffs[i] for i < r: each pair of terms adds straight into one
+    integer sum over a common denominator, keys in first-seen order.
     """
     r = len(logs)
-    top, top_den = newest._numerators()
-    products = []
-    for j in range(1, r):
-        (a, da), (b, db) = logs[j]._numerators(), coeffs[r - j]._numerators()
-        products.append((j, _convolve(a, b), da * db))
-    den = math.lcm(top_den, *(d for _j, _p, d in products))
+    top, top_den, _reach = newest._form()
+    pairs = [(j, logs[j]._form(), coeffs[r - j]._form()) for j in range(1, r)]
+    den = math.lcm(top_den, *(a[1] * b[1] for _j, a, b in pairs))
     acc = {k: r * c * (den // top_den) for k, c in top.items()}
-    for j, product, d in products:
-        f = -j * (den // d)
-        for k, c in product.items():
-            acc[k] = acc.get(k, 0) + c * f
-    den *= r
-    return Polynomial._of(newest.nvars, {k: Fraction(c, den) for k, c in acc.items() if c})
+    get = acc.get
+    for j, (a, da, ra), (b, db, rb) in pairs:
+        f = -j * (den // (da * db))
+        _check_reach(ra + rb, newest.nvars)
+        b = list(b.items())
+        for k1, c1 in a.items():
+            c1 *= f
+            for k2, c2 in b:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return Polynomial._from_ints(newest.nvars, acc, den * r)
 
 
 def _extend(r: int) -> None:

@@ -15,7 +15,10 @@ base_torsion from the public functions, and sphere_multiplicity
 gives the sphere multiplicities pointwise from the Weyl dimension formula as
 the reference of the multiplicity polynomials.  naive_product multiplies
 polynomials one Fraction product per pair of terms, the reference of
-Polynomial.__mul__, and weyl_fit_per_copy is the leading-residue Weyl fit
+Polynomial.__mul__; substitute_per_term and log_coefficient_per_term are
+the same one-Fraction-per-term references of Polynomial.substitute and of
+the formal-log recurrence, and reference_families builds the olver memo's
+five families from them; weyl_fit_per_copy is the leading-residue Weyl fit
 over one float per eigenvalue copy, the reference of the per-line fit of
 file spectra.  The Bessel values come from
 bessel_i, bessel_i_prime, bessel_k and bessel_k_prime here: mpmath's besseli
@@ -327,6 +330,53 @@ def naive_product(a: Polynomial, b: Polynomial) -> Polynomial:
             k = tuple(map(add, k1, k2))
             out[k] = out.get(k, 0) + c1 * c2
     return Polynomial._of(nvars, {k: c for k, c in out.items() if c})
+
+
+def substitute_per_term(p: Polynomial, i: int, value):
+    """p with variable i set to `value`, one Fraction power and product per term
+    (reference of Polynomial.substitute)."""
+    value = Fraction(value)
+    out = {}
+    for k, c in p.coeffs.items():
+        rest = k[:i] + k[i + 1:]
+        out[rest] = out.get(rest, 0) + c * value ** k[i]
+    if p.nvars == 1:
+        return out.get((), Fraction(0))
+    return Polynomial._of(p.nvars - 1, {k: c for k, c in out.items() if c})
+
+
+def log_coefficient_per_term(newest: Polynomial, coeffs: list, logs: list) -> Polynomial:
+    """Formal-log coefficient l_r, r = len(logs), from r*l_r = r*c_r - sum_j j*l_j*c_{r-j},
+    one Fraction multiply-add per pair of terms (reference of olver._log_coefficient)."""
+    r = len(logs)
+    acc = {k: r * c for k, c in newest.coeffs.items()}
+    for j in range(1, r):
+        for k1, c1 in logs[j].coeffs.items():
+            for k2, c2 in coeffs[r - j].coeffs.items():
+                k = tuple(map(add, k1, k2))
+                acc[k] = acc.get(k, 0) - j * c1 * c2
+    return Polynomial._of(newest.nvars, {k: c / r for k, c in acc.items() if c})
+
+
+def reference_families(rmax: int):
+    """u, v, D, M and w (olver's memo families) for r = 0..rmax from naive_product
+    and log_coefficient_per_term, by the recurrences of the olver docstring."""
+    one, t = Polynomial({(0,): 1}), Polynomial({(1,): 1})
+    w_u, g_u = Polynomial({(2,): 1, (4,): -1}), Polynomial({(0,): 1, (2,): -5})
+    w_v = Polynomial({(3,): 1, (1,): -1})
+    u, v, d, m, w = [one], [one], [Polynomial({}, 1)], [Polynomial({}, 2)], [Polynomial({(0, 0): 1})]
+    for _r in range(rmax):
+        prev = u[-1]
+        nxt = (naive_product(w_u, prev.derivative()).scale(Fraction(1, 2))
+               + naive_product(g_u, prev).integral_from_zero().scale(Fraction(1, 8)))
+        transfer = prev.scale(Fraction(1, 2)) + naive_product(t, prev.derivative())
+        u.append(nxt)
+        v.append(nxt + naive_product(w_v, transfer))
+        w.append(Polynomial({**{(e, 0): c for (e,), c in v[-1].coeffs.items()},
+                             **{(e + 1, 1): c for (e,), c in prev.coeffs.items()}}, 2))
+        d.append(log_coefficient_per_term(u[-1], u, d))
+        m.append(log_coefficient_per_term(w[-1], w, m))
+    return u, v, d, m, w
 
 
 def weyl_fit_per_copy(M: BaseManifold, k: int, P: int):

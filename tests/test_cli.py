@@ -134,12 +134,19 @@ PACKAGE_MODULES = {"berezin", "cli", "olver", "operators", "precision", "spectru
 
 @pytest.mark.parametrize("argv, unrun", [
     ([], PACKAGE_MODULES - {"cli", "precision"}),
-    (["torsion", "--base", "sphere:3"], {"operators"}),
+    (["torsion", "--base", "sphere:3"], {"operators", "verify"}),
     (["verify", "--suite", "dm"], {"operators", "torsion", "zeta"}),
+    (["spectrum", "--base", "torus:3", "--cutoff", "20"],
+     {"berezin", "operators", "torsion", "verify", "zeta"}),
 ])
 def test_a_command_runs_only_the_modules_it_reads(argv, unrun):
     out = run_fresh(MODULES_RUN, json.dumps(argv))
     assert out == {"code": 0, "run": sorted(PACKAGE_MODULES - unrun)}
+
+
+def test_the_parser_choices_are_the_verify_names():
+    assert cli.SUITE_CHOICES == tuple(sorted(verify.SUITES))
+    assert cli.GRID_CHOICES == tuple(sorted(verify.DETRATIO_GRID))
 
 
 def test_the_package_exports_read_their_modules_on_first_use():

@@ -22,7 +22,7 @@ from conetorsion.olver import (
     u_poly,
     v_poly,
 )
-from oracles import naive_product
+from oracles import naive_product, reference_families, substitute_per_term
 
 F = Fraction
 
@@ -224,6 +224,89 @@ def test_product_matches_the_naive_product(nvars):
         assert all(type(c) is Fraction and c for c in got.coeffs.values())
 
     inner()
+
+
+def test_memo_families_match_the_fraction_reference():
+    """u, v, D, M and w to r = 12 equal the one-Fraction-per-term build, keys in the same order."""
+    u_poly(12)
+    memo = (olver._u, olver._v, olver._d, olver._m, olver._wm)
+    for name, family, want in zip("uvDMw", memo, reference_families(12)):
+        got = family[:13]
+        assert got == want, name
+        assert [list(p.coeffs.items()) for p in got] == [list(p.coeffs.items()) for p in want], name
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_substitute_matches_the_per_term_reference(nvars):
+    """The one integer pass over a common denominator equals one Fraction power per term,
+    keys in the same order: negative exponents, the zero polynomial, the value 0, which
+    raises ZeroDivisionError exactly when the variable has a negative exponent."""
+    from hypothesis import example, given, settings, strategies as st
+
+    poly = st.dictionaries(st.tuples(*[st.integers(min_value=-3, max_value=5)] * nvars),
+                           st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                        max_denominator=10 ** 6),
+                           max_size=8).map(lambda d: Polynomial(d, nvars))
+    value = st.just(F(0)) | st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    index = st.integers(min_value=0, max_value=nvars - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly, index, value)
+    @example(Polynomial({}, nvars), 0, F(0))
+    @example(Polynomial({(0,) * nvars: 1, (-1,) * nvars: 2}), 0, F(0))
+    @example(Polynomial({(2,) * nvars: F(1, 3), (1,) * nvars: -1}), nvars - 1, F(0))
+    def inner(p, i, x):
+        if x == 0 and any(k[i] < 0 for k in p.coeffs):
+            with pytest.raises(ZeroDivisionError):
+                p.substitute(i, x)
+            with pytest.raises(ZeroDivisionError):
+                substitute_per_term(p, i, x)
+            return
+        got, want = p.substitute(i, x), substitute_per_term(p, i, x)
+        if nvars == 1:
+            assert type(got) is Fraction and got == want
+        else:
+            assert got.nvars == want.nvars == nvars - 1
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+            assert all(type(c) is Fraction and c for c in got.coeffs.values())
+
+    inner()
+
+
+def test_equal_keys_with_other_coefficients_never_share_an_integer_form():
+    keys = [(3, 0), (1, 1), (-2, 4)]
+    polys = [Polynomial(dict(zip(keys, cs)), 2)
+             for cs in ((1, F(1, 2), -3), (1, F(1, 3), -3), (2, F(1, 2), -3))]
+    other = Polynomial({(1, 0): F(2, 7), (0, 1): 5})
+    for p in polys:
+        assert p * other == naive_product(p, other)
+        assert p.substitute(1, F(3, 2)) == substitute_per_term(p, 1, F(3, 2))
+    forms = [p._form() for p in polys]
+    assert all(list(nums) == [olver._pack(k) for k in keys] for nums, _den, _reach in forms)
+    assert len({(tuple(nums.values()), den) for nums, den, _reach in forms}) == 3
+
+
+def test_the_memo_rebuilds_after_the_caches_are_cleared(cleared_caches):
+    assert [len(f) for f in (olver._u, olver._v, olver._d, olver._m, olver._wm)] == [1] * 5
+    _u, _v, d, m, _w = reference_families(8)
+    for r in range(1, 9):
+        assert list(d_poly(r).coeffs.items()) == list(d[r].coeffs.items())
+        assert list(m_poly(r).coeffs.items()) == list(m[r].coeffs.items())
+
+
+def test_packed_exponents_stay_within_reach():
+    huge = 2 ** 70
+    # one variable, or the last of several: any size
+    assert Polynomial({(huge,): 1}) * Polynomial({(huge,): 1}) == Polynomial({(2 * huge,): 1})
+    assert Polynomial({(1, -huge): 1}) * Polynomial({(1, huge): 2}) == Polynomial({(2, 0): 2})
+    assert Polynomial({(3, -huge): 1}).substitute(0, 2) == Polynomial({(-huge,): 8})
+    # the others are refused before their sum could spill into the next field
+    with pytest.raises(OverflowError):
+        Polynomial({(huge, 0): 1}) * Polynomial({(0, 0): 1})
+    with pytest.raises(OverflowError):
+        Polynomial({(-huge, 3): 1}).substitute(1, 2)
+    with pytest.raises(OverflowError):
+        Polynomial({(2 ** 61, 0): 1}) * Polynomial({(2 ** 61, 0): 1})
 
 
 def test_ring_rejects_mixed_arity():
