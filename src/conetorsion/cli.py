@@ -17,7 +17,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 from . import spectrum, torsion, verify
-from .precision import DEFAULT_DPS, MIN_DPS, PrecisionError
+from .precision import DEFAULT_DPS, MAX_DPS, MIN_DPS, PrecisionError
 
 DEFAULT_PRECISION_ENV = "CONETORSION_PRECISION"
 # sorted(verify.SUITES) and sorted(verify.DETRATIO_GRID), written out so that building
@@ -121,6 +121,9 @@ def cmd_torsion(args) -> int:
     precision = _default_precision() if args.precision is None else args.precision
     if precision < MIN_DPS:
         raise UsageError(f"precision must be at least {MIN_DPS} digits")
+    if precision > MAX_DPS:
+        raise UsageError(f"precision {precision} is beyond the {MAX_DPS} digits that a report"
+                         " supports")
     M = _load_base(args)
     eps_list = (tuple(_fraction_in("--eps", e, 0, 1) for e in args.eps.split(","))
                 if args.eps is not None else (Fraction(1, 2), Fraction(1, 4)))
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t = sub.add_parser("torsion", parents=[source, out], help="full torsion breakdown report")
     p_t.add_argument("--precision", type=int,
-                     help=f"working precision in decimal digits (>= {MIN_DPS})")
+                     help=f"working precision in decimal digits ({MIN_DPS} to {MAX_DPS})")
     p_t.add_argument("--format", choices=("json", "table"), default="json")
     p_t.add_argument("--eps", help="comma-separated truncation radii for the audits, e.g. 1/2,1/4")
     p_t.set_defaults(fn=cmd_torsion)

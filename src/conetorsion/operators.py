@@ -65,9 +65,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from . import spectrum
 from .precision import (DEFAULT_DPS, DomainError, _Deferred, context, float_context, to_complex,
                         to_real)
-from .spectrum import DegreeData
 
 # Only the double-precision oracles use numpy, so reports, spectra and the exact
 # suites never pay its import.  Nothing here reads `_sp`, so no command imports
@@ -339,7 +339,7 @@ def t_function(k: int, n: int, nu, eps, lam, P: int = DEFAULT_DPS):
         raise DomainError("n must be odd")
     ctx = context(P)
     nu_m = to_real(nu, ctx)
-    A_m = to_real(DegreeData(k, n).A, ctx)
+    A_m = to_real(spectrum.DegreeData(k, n).A, ctx)
     eps_m = to_real(_inner_radius(eps), ctx)
     if nu_m <= abs(A_m):
         raise DomainError("frequencies satisfy nu > |A|")
@@ -364,7 +364,7 @@ def large_argument_constant(k: int, n: int, nu, eps, P: int = DEFAULT_DPS):
     """b of the large-argument law t ~ log(-lam) + b: b = 2 log eps - log(1 - A^2/nu^2)."""
     ctx = context(P)
     nu_m = to_real(nu, ctx)
-    A_m = to_real(DegreeData(k, n).A, ctx)
+    A_m = to_real(spectrum.DegreeData(k, n).A, ctx)
     return 2 * ctx.log(to_real(Fraction(eps), ctx)) - ctx.log(1 - A_m ** 2 / nu_m ** 2)
 
 
@@ -381,7 +381,7 @@ def h_det(k: int, n: int, eps, P: int = DEFAULT_DPS):
 
 def harmonic_operator(k: int, n: int, eps) -> ModelOperator:
     """The degree-k harmonic-sector operator on [eps,1]: psi0 at order |A_k|."""
-    A = DegreeData(k, n).A
+    A = spectrum.DegreeData(k, n).A
     return ModelOperator("psi0", abs(A), A, eps)
 
 

@@ -36,7 +36,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
-from .olver import Polynomial
+from . import olver
 
 
 class UnsupportedManifoldError(ValueError):
@@ -193,7 +193,7 @@ def betti(M: BaseManifold, k: int) -> int:
 # Round spheres: Weyl dimension formula for the coclosed eigenspaces
 
 
-def sphere_multiplicity_polynomial(M: BaseManifold, k: int) -> Polynomial:
+def sphere_multiplicity_polynomial(M: BaseManifold, k: int) -> olver.Polynomial:
     """Multiplicity as an exact polynomial in x = nu = j + (n-1)/2 (spheres only).
 
     Even in x; valid for j >= 1, i.e. x >= (n+1)/2.
@@ -202,18 +202,18 @@ def sphere_multiplicity_polynomial(M: BaseManifold, k: int) -> Polynomial:
         raise UnsupportedManifoldError("multiplicity polynomials exist for spheres only")
     n = M.n
     if k >= n:
-        return Polynomial({}, 1)
+        return olver.Polynomial({}, 1)
     if n == 1:
-        return Polynomial({(0,): 2 * M.rank})
+        return olver.Polynomial({(0,): 2 * M.rank})
     m = (n + 1) // 2
     kp = min(k, n - 1 - k)
     lam_tail = [1] * kp + [0] * (m - 1 - kp)
     rho = [m - 1 - i for i in range(m)]
     l_tail = [lam_tail[i - 1] + rho[i] for i in range(1, m)]
     # l_1 = j + m - 1 = x; dimension = prod_i (x^2 - l_i^2) * prod_{i<j tail} (...) / denom
-    poly = Polynomial({(0,): 1})
+    poly = olver.Polynomial({(0,): 1})
     for li in l_tail:
-        poly = poly * Polynomial({(2,): 1, (0,): -(li ** 2)})
+        poly = poly * olver.Polynomial({(2,): 1, (0,): -(li ** 2)})
     num_tail = Fraction(1)
     den = Fraction(1)
     for i in range(len(l_tail)):

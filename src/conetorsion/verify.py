@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import olver, operators, spectrum, torsion, zeta
-from .berezin import CollarMetric, b_class, scaled
+from . import berezin, olver, operators, spectrum, torsion, zeta
 from .precision import context, float_context, to_complex, to_real
-from .spectrum import DegreeData
 
 
 def _result(name, passed, measure, tolerance, details=None):
@@ -179,7 +177,7 @@ def check_large_order_decay(P: int = 60):
     large-argument law), so the partial sums subtract it first.
     """
     k, n, eps, lam = 0, 3, Fraction(1, 2), Fraction(-1)
-    A = DegreeData(k, n).A
+    A = spectrum.DegreeData(k, n).A
     ctx = context(P)
     # t at lam = -1:  (1 - eps^2 lam)^(-1/2) = (1 + eps^2)^(-1/2)
     t_eps = 1 / ctx.sqrt(1 + (ctx.mpf(eps.numerator) / eps.denominator) ** 2)
@@ -238,11 +236,11 @@ def check_scaling_invariance():
     """Anomaly class invariant under metric scaling s in {2, 1/3, 10}, exactly."""
     failures = []
     for n, kappa in ((3, Fraction(1)), (5, Fraction(1)), (3, Fraction(0))):
-        cm = CollarMetric(n, kappa, Fraction(-2))
+        cm = berezin.CollarMetric(n, kappa, Fraction(-2))
         try:
-            base = b_class(cm).coefficient
+            base = berezin.b_class(cm).coefficient
             for s in (Fraction(2), Fraction(1, 3), Fraction(10)):
-                if b_class(scaled(cm, s)).coefficient != base:
+                if berezin.b_class(berezin.scaled(cm, s)).coefficient != base:
                     failures.append((n, str(kappa), str(s)))
         except ArithmeticError as exc:  # a scale half power came out odd
             failures.append((n, str(kappa), str(exc)))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import conetorsion
-from conetorsion import berezin, cli, torsion, verify, zeta
+from conetorsion import berezin, cli, precision, torsion, verify, zeta
 from conetorsion.cli import main, parse_base
 from conetorsion.operators import ModelOperator, eigenvalues_oracle
 from conetorsion.spectrum import UnsupportedManifoldError
@@ -81,18 +81,27 @@ def test_commands_without_an_oracle_never_load_numpy_or_scipy(tmp_path):
     assert out["mpmath"] == [False] * 5 + [True] * 6
 
 
+# the oracle first, then the two suites that read it: numpy loads at the first call, and
+# scipy never, since the oracle takes its Bessel values from a numpy kernel of its own
 ORACLE_CALL = """
-import json, sys
+import contextlib, io, json, sys
 from fractions import Fraction
+from conetorsion import cli
 from conetorsion.operators import ModelOperator, eigenvalues_oracle
 lam = eigenvalues_oracle(ModelOperator("psi2", Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), 6)
-print(json.dumps({"lam": lam, "loaded": sorted({"numpy", "scipy"} & set(sys.modules))}))
+loaded = [sorted({"numpy", "scipy"} & set(sys.modules))]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["verify", "--suite", "htrunc"]),
+             cli.main(["verify", "--suite", "detratio", "--grid", "tiny"])]
+loaded.append(sorted({"numpy", "scipy"} & set(sys.modules)))
+print(json.dumps({"lam": lam, "codes": codes, "loaded": loaded}))
 """
 
 
 def test_an_oracle_loads_only_numpy_on_first_use():
     out = run_fresh(ORACLE_CALL)
-    assert out["loaded"] == ["numpy"]
+    assert out["codes"] == [0, 0]
+    assert out["loaded"] == [["numpy"], ["numpy"]]
     # order 1/2: sin(mu (x - 1/2)) with f'(1) = 0, so mu = (2i - 1) pi
     assert all(abs(lam / ((2 * i - 1) * math.pi) ** 2 - 1) < 1e-14
                for i, lam in enumerate(out["lam"], 1))
@@ -102,7 +111,7 @@ def test_an_oracle_loads_only_numpy_on_first_use():
 
 def test_the_package_import_loads_neither_dataclasses_nor_inspect():
     out = run_fresh("import json, sys\nimport conetorsion.cli\n"
-                    "print(json.dumps(sorted({'dataclasses', 'inspect', 'mpmath'}"
+                    "print(json.dumps(sorted({'dataclasses', 'inspect', 'mpmath', 'numpy', 'scipy'}"
                     " & set(sys.modules))))")
     assert out == []
 
@@ -132,14 +141,30 @@ PACKAGE_MODULES = {"berezin", "cli", "olver", "operators", "precision", "spectru
                    "verify", "zeta"}
 
 
+SPEC = "t3.spec"   # the benchmark's spectrum file: torus:3 cut off at 20
+
+
+# the import, a report, and every command the benchmark runs
 @pytest.mark.parametrize("argv, unrun", [
     ([], PACKAGE_MODULES - {"cli", "precision"}),
     (["torsion", "--base", "sphere:3"], {"operators", "verify"}),
-    (["verify", "--suite", "dm"], {"operators", "torsion", "zeta"}),
+    (["verify", "--suite", "dm"], {"berezin", "operators", "spectrum", "torsion", "zeta"}),
     (["spectrum", "--base", "torus:3", "--cutoff", "20"],
-     {"berezin", "operators", "torsion", "verify", "zeta"}),
+     {"berezin", "olver", "operators", "torsion", "verify", "zeta"}),
+    (["verify", "--suite", "scaling"], {"operators", "spectrum", "torsion", "zeta"}),
+    (["verify", "--suite", "duality"], {"berezin", "operators", "torsion", "zeta"}),
+    (["verify", "--suite", "wronskian"], {"berezin", "olver", "spectrum", "torsion", "zeta"}),
+    (["verify", "--suite", "largenu"], {"berezin", "torsion", "zeta"}),
+    (["verify", "--suite", "htrunc"], {"berezin", "olver", "torsion", "zeta"}),
+    (["verify", "--suite", "detratio", "--grid", "tiny"],
+     {"berezin", "olver", "spectrum", "torsion", "zeta"}),
+    (["torsion", "--spectrum-file", SPEC], {"operators", "verify"}),
 ])
-def test_a_command_runs_only_the_modules_it_reads(argv, unrun):
+def test_a_command_runs_only_the_modules_it_reads(tmp_path, argv, unrun):
+    if SPEC in argv:
+        assert main(["spectrum", "--base", "torus:3", "--cutoff", "20", "--out",
+                     str(tmp_path / SPEC)]) == 0
+        argv = [str(tmp_path / SPEC) if a == SPEC else a for a in argv]
     out = run_fresh(MODULES_RUN, json.dumps(argv))
     assert out == {"code": 0, "run": sorted(PACKAGE_MODULES - unrun)}
 
@@ -495,6 +520,55 @@ def test_verify_refuses_rmax_past_the_budget_at_once(capsys, monkeypatch, rmax):
     assert err.startswith(f"error: --rmax {rmax} is beyond the {verify.MAX_RMAX}")
     with pytest.raises(ValueError):
         verify.check_dm_identity(int(rmax))
+
+
+@pytest.mark.parametrize("route", ["option", "env"])
+@pytest.mark.parametrize("P", [str(precision.MAX_DPS + 1), "100000000"])
+def test_torsion_refuses_precision_past_the_ceiling_at_once(capsys, monkeypatch, route, P):
+    # refused before any context is made: a report at P = 10^8 ran until it was killed
+    def no_context(*args, **kwargs):
+        pytest.fail("a precision context was made")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conetorsion") and getattr(module, "context", None) is precision.context:
+            monkeypatch.setattr(module, "context", no_context)
+    argv = ["torsion", "--base", "sphere:3"]
+    if route == "option":
+        argv += ["--precision", P]
+    else:
+        monkeypatch.setenv(cli.DEFAULT_PRECISION_ENV, P)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: precision {P} is beyond the {precision.MAX_DPS} digits"
+                   " that a report supports\n")
+
+
+# each of these once ran for minutes, or until it was killed: it must end within its
+# budget (seconds), with its exit code and a line that shows what it did
+@pytest.mark.parametrize("argv, seconds, code, line", [
+    # the D/M memo and the substitutions on packed integer numerators: the top of the dm budget
+    (["verify", "--suite", "dm", "--rmax", "50"], 20, 0, '"passed": true'),
+    # the sphere continuation is exact: the cost does not grow with a sum in P
+    (["torsion", "--base", "sphere:7", "--precision", "1000"], 20, 0, '"logeps_audit": "0.0"'),
+    (["torsion", "--base", "sphere:7", "--precision", str(precision.MAX_DPS)], 20, 0,
+     '"logeps_audit": "0.0"'),
+    # a radius with a million factors of two converts to mpmath in linear time (0.35 s;
+    # the quadratic conversion took 10-12 s)
+    (["torsion", "--base", "sphere:3", "--eps", "1e-999999,1/2"], 5, 0, '"eps_cancel": "0.0"'),
+    # a million-digit scale is named in integer arithmetic, not in seconds of Decimal
+    (["torsion", "--base", "torus:3:1:1e-999999", "--precision", "20"], 10, 0,
+     '"base": "torus:3:1:1e-999999"'),
+    # refused at once: an exponent past 10^6, the lattice count's steps, the sphere's lines
+    (["torsion", "--base", "sphere:3", "--eps", "1e-99999999,1/2"], 10, 1, "error: --eps"),
+    (["spectrum", "--base", "torus:3", "--cutoff", "1000"], 30, 1, "error: "),
+    (["spectrum", "--base", "sphere:3", "--cutoff", "1e400"], 30, 1, "error: "),
+], ids=["dm-rmax-50", "sphere7-P1000", "sphere7-Pmax", "eps-1e-999999", "torus-scale-1e-999999",
+        "eps-exponent-refused", "torus-cutoff-refused", "sphere-cutoff-refused"])
+def test_commands_end_within_their_budgets(tmp_path, argv, seconds, code, line):
+    res = subprocess.run([sys.executable, "-m", "conetorsion.cli", *argv], capture_output=True,
+                         text=True, timeout=seconds, cwd=tmp_path, env=FRESH_ENV)
+    assert res.returncode == code, res.stderr
+    assert line in (res.stdout if code == 0 else res.stderr)
 
 
 # the message each case must carry, where the test pins one

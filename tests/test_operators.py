@@ -645,3 +645,13 @@ def test_besselk_pair_guards(monkeypatch):
     ctx = context(20)
     with pytest.raises(ArithmeticError, match=r"nu = 20.*w = .*900 terms"):
         operators._besselk_pair(ctx, ctx.mpf(20), ctx.mpf(1000))
+
+
+def test_no_package_source_reads_scipy_or_mpmath_besselk():
+    # operators._sp stays bound only for perfbench/tracer.py, and the K pair comes from
+    # Temme's series and CF2: mpmath's besselk is the tests' independent route alone
+    reads = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(Path(operators.__file__).parent.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "_sp." in line or ".besselk(" in line]
+    assert reads == []

@@ -111,6 +111,8 @@ def test_domain_errors():
         bessel_i(1, (-2, 0), 30)
     with pytest.raises(PrecisionError):
         bessel_i(1, 1, 10)
+    with pytest.raises(PrecisionError):
+        context(precision.MAX_DPS + 1)
 
 
 ZERO_BITS = st.integers(min_value=0, max_value=3000)

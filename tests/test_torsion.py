@@ -204,6 +204,8 @@ def test_sphere_reports_call_no_hurwitz_zeta_or_digamma(monkeypatch, spec):
             monkeypatch.setattr(module, "context", counting_context)
     r = torsion_report(parse_base(spec), 50)
     assert calls == [] and r["approximate"] is False
+    # so every zeta(0, ccl_k) is exact, and log(eps) has coefficient exactly 0
+    assert r["audits"]["eps_cancel"] == r["audits"]["logeps_audit"] == "0.0"
     # the counter sees the one zeta call left in the package: a zeta'(-q) atom, q >= 1
     log_form_value({("zeta'", 1): 1}, 50)
     assert calls == ["zeta"]
